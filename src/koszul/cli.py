@@ -24,7 +24,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .betti import is_koszul_up_to, is_strand_koszul_up_to
 from .families import (build_cycle_ring, build_quadratic_ci, path_certify,
@@ -137,11 +136,6 @@ def cmd_homology(args) -> int:
         raise UsageError("bounds must be nonnegative")
     started = time.perf_counter()
     H = homology(ring, i_max, j_max)
-    pairs = [(i, j) for j in range(j_max + 1)
-             for i in range(min(j, H.i_max) + 1)]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(lambda ij: H.dim(*ij), pairs))
     dims = H.dims()
     tables = {"homology_dims": {f"{i},{j}": d for (i, j), d in sorted(dims.items())}}
     if args.multigraded:
@@ -307,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", default=None,
                        help='override the ring document field: "QQ" or "F<p>"')
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for independent slices")
+                       help="accepted for compatibility; has no effect "
+                            "(everything runs on one thread)")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing in the output document")
         p.add_argument("--engine", choices=("auto", "bar", "resolution"),

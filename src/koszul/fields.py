@@ -10,14 +10,36 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin on the first 13 primes as bases is exact below the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality for p < _MR_LIMIT; larger p raise ValueError."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_LIMIT:
+        raise ValueError(f"field order {p} is too large: primality is only "
+                         f"decided below {_MR_LIMIT}")
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from .fields import Field
 from .graded import GradedAlgebraData
 from .polyring import QuotientRing, grevlex_key, mono_divides
-from .sparse import FieldEchelon, kernel_of_columns
+from .sparse import FieldEchelon, kernel_of_columns, rank_of_columns
 
 
 def koszul_basis(ring: QuotientRing, i: int, j: int) -> tuple:
@@ -121,8 +121,7 @@ class _Slice:
         for kv in kernel:
             residual, _ = self.ech.insert(kv, tag=len(self.reps))
             if residual:
-                pos = min(residual)
-                self.reps.append(self.ech.pivots[pos][0])
+                self.reps.append(self.ech.column(min(residual)))
 
     @property
     def dim(self) -> int:
@@ -136,22 +135,16 @@ class _Slice:
         return combo
 
 
+def _differential_columns(ring, basis_from, basis_to) -> list[dict]:
+    """Columns of the differential from one Koszul basis into the next one down."""
+    index_to = {b: k for k, b in enumerate(basis_to)}
+    return [{index_to[key]: c for key, c in differential_of_basis(ring, v, w).items()}
+            for v, w in basis_from]
+
+
 def _slice_from_bases(ring, field, basis_here, basis_below, basis_above):
-    index_below = {b: k for k, b in enumerate(basis_below)}
-    d_in = []
-    for v, w in basis_here:
-        col = {}
-        for key, c in differential_of_basis(ring, v, w).items():
-            col[index_below[key]] = c
-        d_in.append(col)
-    index_here = {b: k for k, b in enumerate(basis_here)}
-    bd = []
-    for v, w in basis_above:
-        col = {}
-        for key, c in differential_of_basis(ring, v, w).items():
-            col[index_here[key]] = c
-        if col:
-            bd.append(col)
+    d_in = _differential_columns(ring, basis_here, basis_below)
+    bd = [col for col in _differential_columns(ring, basis_above, basis_here) if col]
     return _Slice(field, basis_here, d_in, bd)
 
 
@@ -162,9 +155,13 @@ def _squarefree(u: tuple) -> bool:
 class KoszulHomologyAlgebra:
     """Bigraded homology algebra of the Koszul complex, up to (i_max, j_max).
 
-    Slices are computed lazily and cached; for monomial ideals the per-
-    multidegree decomposition is used throughout.  Products of classes are
-    computed in the complex and reduced to coordinates in the stored bases.
+    Dimensions come from ranks of the differential, each computed once:
+    ``dim H_{i,j} = dim K_{i,j} - rank d_{i,j} - rank d_{i+1,j}``.  Slices
+    with cycle representatives are built lazily, only for bases, cycle
+    coordinates and products, and cached.  For squarefree monomial ideals the
+    per-multidegree decomposition is used throughout, so a slice is keyed by
+    ``(i, u)`` instead of ``(i, j)``.  Products of classes are computed in the
+    complex and reduced to coordinates in the stored bases.
     """
 
     def __init__(self, ring: QuotientRing, i_max: int, j_max: int):
@@ -177,32 +174,59 @@ class KoszulHomologyAlgebra:
         # squarefree monomial ideals: homology is concentrated in squarefree
         # multidegrees, so slices can be assembled per multidegree
         self.multigraded = ring.is_squarefree_monomial
+        # all keyed by (i, grade), grade an internal degree j or, on the
+        # multigraded route, a multidegree u
+        self._complex_bases: dict = {}
+        self._ranks: dict = {}
         self._slices: dict = {}
-        self._mg_slices: dict = {}
         self._bases: dict = {}
         self._product_cache: dict = {}
 
     # -- slice plumbing -----------------------------------------------------
 
-    def _bigraded_slice(self, i: int, j: int) -> _Slice:
-        key = (i, j)
-        if key not in self._slices:
-            self._slices[key] = _slice_from_bases(
-                self.ring, self.field,
-                koszul_basis(self.ring, i, j),
-                koszul_basis(self.ring, i - 1, j),
-                koszul_basis(self.ring, i + 1, j))
-        return self._slices[key]
+    def _complex_basis(self, i: int, grade) -> tuple:
+        key = (i, grade)
+        hit = self._complex_bases.get(key)
+        if hit is None:
+            if self.multigraded:
+                hit = koszul_basis_multigraded(self.ring, i, grade)
+            else:
+                hit = koszul_basis(self.ring, i, grade)
+            self._complex_bases[key] = hit
+        return hit
 
-    def _multigraded_slice(self, i: int, u: tuple) -> _Slice:
-        key = (i, u)
-        if key not in self._mg_slices:
-            self._mg_slices[key] = _slice_from_bases(
-                self.ring, self.field,
-                koszul_basis_multigraded(self.ring, i, u),
-                koszul_basis_multigraded(self.ring, i - 1, u),
-                koszul_basis_multigraded(self.ring, i + 1, u))
-        return self._mg_slices[key]
+    def _rank(self, i: int, grade) -> int:
+        """Rank of the differential leaving K_i in one slice."""
+        key = (i, grade)
+        hit = self._ranks.get(key)
+        if hit is None:
+            here = self._complex_basis(i, grade)
+            below = self._complex_basis(i - 1, grade)
+            hit = 0
+            if here and below:
+                hit = rank_of_columns(_differential_columns(self.ring, here, below),
+                                      self.field)
+            self._ranks[key] = hit
+        return hit
+
+    def _slice(self, i: int, grade) -> _Slice:
+        key = (i, grade)
+        hit = self._slices.get(key)
+        if hit is None:
+            hit = self._slices[key] = _slice_from_bases(
+                self.ring, self.field, self._complex_basis(i, grade),
+                self._complex_basis(i - 1, grade), self._complex_basis(i + 1, grade))
+        return hit
+
+    def _slice_dim(self, i: int, grade) -> int:
+        """dim H_i of one slice: read from its reps if built, else from ranks."""
+        sl = self._slices.get((i, grade))
+        if sl is not None:
+            return sl.dim
+        size = len(self._complex_basis(i, grade))
+        if not size:
+            return 0
+        return size - self._rank(i, grade) - self._rank(i + 1, grade)
 
     def _squarefree_multidegrees(self, j: int):
         for support in itertools.combinations(range(self.ring.n), j):
@@ -228,14 +252,14 @@ class KoszulHomologyAlgebra:
         elif j > 0 and 0 < i <= min(j, self.ring.n):
             if self.multigraded:
                 for u in self._squarefree_multidegrees(j):
-                    sl = self._multigraded_slice(i, u)
-                    for k, rep in enumerate(sl.reps):
+                    sl = self._slice(i, u)
+                    for rep in sl.reps:
                         classes.append(HomologyClass(
                             i, j, len(classes),
                             {sl.basis[pos]: c for pos, c in sorted(rep.items())}, u))
             else:
-                sl = self._bigraded_slice(i, j)
-                for k, rep in enumerate(sl.reps):
+                sl = self._slice(i, j)
+                for rep in sl.reps:
                     classes.append(HomologyClass(
                         i, j, len(classes),
                         {sl.basis[pos]: c for pos, c in sorted(rep.items())}, None))
@@ -247,7 +271,13 @@ class KoszulHomologyAlgebra:
             return 1 if j == 0 else 0
         if j <= 0 or i > min(j, self.ring.n):
             return 0
-        return len(self.basis(i, j))
+        self._check_bounds(i, j)
+        classes = self._bases.get((i, j))
+        if classes is not None:
+            return len(classes)
+        if self.multigraded:
+            return sum(self._slice_dim(i, u) for u in self._squarefree_multidegrees(j))
+        return self._slice_dim(i, j)
 
     def dims(self) -> dict:
         """All nonzero dimensions within bounds, keyed by bidegree."""
@@ -266,7 +296,7 @@ class KoszulHomologyAlgebra:
             return 1 if not any(u) else 0
         if not _squarefree(u):
             return 0
-        return self._multigraded_slice(i, u).dim
+        return self._slice_dim(i, u)
 
     # -- algebra structure ----------------------------------------------------
 
@@ -282,7 +312,7 @@ class KoszulHomologyAlgebra:
             offset = 0
             coords = {}
             for u in self._squarefree_multidegrees(j):
-                sl = self._multigraded_slice(i, u)
+                sl = self._slice(i, u)
                 part = by_u.pop(u, None)
                 if part:
                     for r, c in sl.coords({sl.index[bw]: c for bw, c in part.items()}).items():
@@ -294,7 +324,7 @@ class KoszulHomologyAlgebra:
                 if _squarefree(u):
                     raise ValueError(f"unexpected squarefree leftover {u}")
             return coords
-        sl = self._bigraded_slice(i, j)
+        sl = self._slice(i, j)
         return {r: c for r, c in
                 sl.coords({sl.index[bw]: c for bw, c in element.items()}).items() if c}
 
@@ -341,10 +371,8 @@ class KoszulHomologyAlgebra:
     # -- exports to the graded-algebra machinery -------------------------------
 
     def positive_strands(self) -> bool:
-        for (i, j), d in self.dims().items():
-            if d and not (i == j == 0) and j - i <= 0:
-                return False
-        return True
+        # off (0, 0), only the diagonal H_{i,i} has strand j - i <= 0
+        return not any(self.dim(i, i) for i in range(1, min(self.i_max, self.j_max) + 1))
 
     def algebra_data(self, mode: str = "bigraded") -> GradedAlgebraData:
         """Structure-constant view of H for the Tor engines.

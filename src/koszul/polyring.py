@@ -2,8 +2,8 @@
 
 Monomials are exponent tuples, polynomials are dicts ``monomial -> nonzero
 coefficient``.  The monomial order everywhere is graded reverse lexicographic
-with ``x1 > x2 > ... > xn``.  Groebner bases may be truncated by degree; the
-cache remembers the trusted bound and recomputes when a deeper degree is
+with ``x1 > x2 > ... > xn``.  Groebner bases may be truncated by degree; a
+quotient ring keeps its Buchberger run and resumes it when a deeper degree is
 requested.
 """
 
@@ -114,67 +114,103 @@ def _monic(p: dict, field: Field) -> dict:
     return {m: field.mul(inv, c) for m, c in p.items()}
 
 
-def groebner_basis(relations, field: Field, degree_bound=None):
-    """Reduced grevlex Groebner basis of a homogeneous ideal.
+class GroebnerRun:
+    """Buchberger's algorithm on one ideal, resumable at higher degree bounds.
 
-    With a degree bound, all S-pairs of lcm degree <= bound are processed;
-    leading monomials of the result then decide ideal membership correctly
-    through that degree.  Returns (basis, trusted_degree).
+    Keeps the unreduced basis and the pending S-pairs, so ``extend`` to a
+    higher bound processes only the pairs the earlier bounds left on the heap.
+    Pairs are processed in (lcm degree, creation) order, so the state after
+    ``extend(d1)`` then ``extend(d2)`` equals the state after ``extend(d2)``.
     """
-    bound = inf if degree_bound is None else degree_bound
-    basis: list[dict] = []
-    for rel in relations:
-        rel = {m: field(c) for m, c in rel.items() if c}
-        if not rel:
-            continue
-        if not is_homogeneous(rel):
-            raise ValueError("relations must be homogeneous")
-        basis.append(_monic(rel, field))
 
-    pairs: list = []
-    counter = itertools.count()
+    __slots__ = ("field", "basis", "pairs", "counter", "_reduced")
 
-    def push_pairs(j):
+    def __init__(self, relations, field: Field):
+        self.field = field
+        self.basis: list[dict] = []
+        self.pairs: list = []
+        self.counter = itertools.count()
+        self._reduced = None  # reduced basis, until the basis grows
+        for rel in relations:
+            rel = {m: field(c) for m, c in rel.items() if c}
+            if not rel:
+                continue
+            if not is_homogeneous(rel):
+                raise ValueError("relations must be homogeneous")
+            self.basis.append(_monic(rel, field))
+        for j in range(len(self.basis)):
+            self._push_pairs(j)
+
+    @property
+    def complete(self) -> bool:
+        """True once no S-pair is pending: the basis is a full Groebner basis."""
+        return not self.pairs
+
+    def _push_pairs(self, j):
+        basis = self.basis
         lmj = leading_monomial(basis[j])
         for i in range(j):
             lmi = leading_monomial(basis[i])
             lcm = mono_lcm(lmi, lmj)
             if sum(lcm) == sum(lmi) + sum(lmj):
                 continue  # coprime leading monomials: S-pair reduces to zero
-            heapq.heappush(pairs, (sum(lcm), next(counter), i, j))
+            heapq.heappush(self.pairs, (sum(lcm), next(self.counter), i, j))
 
-    for j in range(len(basis)):
-        push_pairs(j)
-    while pairs:
-        deg, _, i, j = heapq.heappop(pairs)
-        if deg > bound:
-            break
-        gi, gj = basis[i], basis[j]
-        lmi, lmj = leading_monomial(gi), leading_monomial(gj)
-        lcm = mono_lcm(lmi, lmj)
-        s = poly_add(
-            {mono_mul(m, mono_div(lcm, lmi)): c for m, c in gi.items()},
-            {mono_mul(m, mono_div(lcm, lmj)): -c for m, c in gj.items()})
-        s = normal_form(s, basis, field)
-        if s:
-            basis.append(_monic(s, field))
-            push_pairs(len(basis) - 1)
+    def extend(self, bound) -> None:
+        """Process every pending S-pair of lcm degree <= bound."""
+        basis, pairs, field = self.basis, self.pairs, self.field
+        while pairs and pairs[0][0] <= bound:
+            _, _, i, j = heapq.heappop(pairs)
+            gi, gj = basis[i], basis[j]
+            lmi, lmj = leading_monomial(gi), leading_monomial(gj)
+            lcm = mono_lcm(lmi, lmj)
+            s = poly_add(
+                {mono_mul(m, mono_div(lcm, lmi)): c for m, c in gi.items()},
+                {mono_mul(m, mono_div(lcm, lmj)): -c for m, c in gj.items()})
+            s = normal_form(s, basis, field)
+            if s:
+                basis.append(_monic(s, field))
+                self._push_pairs(len(basis) - 1)
+                self._reduced = None
 
-    # minimal, then reduced
-    basis.sort(key=lambda g: grevlex_key(leading_monomial(g)))
-    minimal = []
-    for g in basis:
-        lm = leading_monomial(g)
-        if not any(mono_divides(leading_monomial(h), lm) for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        g = normal_form(g, others, field)
-        if g:
-            reduced.append(_monic(g, field))
-    reduced.sort(key=lambda g: grevlex_key(leading_monomial(g)))
-    return reduced, bound
+    def reduced(self) -> list[dict]:
+        """The minimal, reduced basis of what has been processed so far."""
+        if self._reduced is not None:
+            return list(self._reduced)
+        field = self.field
+        basis = sorted(self.basis, key=lambda g: grevlex_key(leading_monomial(g)))
+        minimal = []
+        for g in basis:
+            lm = leading_monomial(g)
+            if not any(mono_divides(leading_monomial(h), lm) for h in minimal):
+                minimal.append(g)
+        reduced = []
+        for idx, g in enumerate(minimal):
+            others = minimal[:idx] + minimal[idx + 1:]
+            g = normal_form(g, others, field)
+            if g:
+                reduced.append(_monic(g, field))
+        reduced.sort(key=lambda g: grevlex_key(leading_monomial(g)))
+        self._reduced = reduced
+        return list(reduced)
+
+
+def groebner_basis(relations, field: Field, degree_bound=None, run=None):
+    """Reduced grevlex Groebner basis of a homogeneous ideal.
+
+    With a degree bound, all S-pairs of lcm degree <= bound are processed;
+    leading monomials of the result then decide ideal membership correctly
+    through that degree.  Returns (basis, trusted_degree).
+
+    ``run``, a ``GroebnerRun`` of the same relations and field, resumes that
+    run instead of starting over; it is left holding the state for the next
+    call.  The result is the same either way.
+    """
+    bound = inf if degree_bound is None else degree_bound
+    if run is None:
+        run = GroebnerRun(relations, field)
+    run.extend(bound)
+    return run.reduced(), bound
 
 
 class QuotientRing:
@@ -207,6 +243,7 @@ class QuotientRing:
             self.relations.append(rel)
         self._gb: list[dict] = []
         self._gb_trusted = -1
+        self._gb_run: GroebnerRun | None = None
         self._std: dict[int, tuple] = {}
         self._mult_cache: dict = {}
 
@@ -227,8 +264,12 @@ class QuotientRing:
             self._gb.sort(key=lambda g: grevlex_key(leading_monomial(g)))
             self._gb_trusted = inf
             return
+        if self._gb_run is None:
+            self._gb_run = GroebnerRun(self.relations, self.field)
         self._gb, self._gb_trusted = groebner_basis(self.relations, self.field,
-                                                    degree_bound=degree)
+                                                    degree_bound=degree, run=self._gb_run)
+        if self._gb_run.complete:
+            self._gb_trusted = inf
 
     def groebner(self, degree: int) -> list[dict]:
         self._ensure_gb(degree)

@@ -179,57 +179,84 @@ class FieldEchelon:
     ``track="stored"`` it is expressed over the stored, normalized pivot
     columns instead, and columns inserted with ``tag=None`` are silently
     modded out -- exactly what quotient-space coordinates need.
+
+    Over GF(p) the stored columns and combos are plain ints in ``range(p)``
+    and the inner loop reduces with ``% p`` only when it reads an entry; field
+    elements are made only for what is handed out (residuals, combos and
+    ``column``).  A stored column is kept as its tail, the entries past its
+    pivot; the pivot entry itself is 1.
     """
 
-    __slots__ = ("field", "pivots", "track")
+    __slots__ = ("field", "p", "pivots", "track")
 
     def __init__(self, field: Field, track: str | bool = False):
         self.field = field
-        self.pivots: dict = {}  # pos -> (column dict with col[pos] == 1, combo)
+        self.p = field.p
+        self.pivots: dict = {}  # pos -> (tail dict, combo dict)
         self.track = "origin" if track is True else track
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, col: dict):
-        """Return ``(residual, combo)`` with residual = col - sum(combo[t] * column_t)."""
+    def column(self, pos) -> dict:
+        """The stored, normalized column whose pivot is ``pos``."""
         F = self.field
-        vec = {k: v for k, v in col.items() if v}
+        return {pos: F.one} | {k: F(v) for k, v in self.pivots[pos][0].items()}
+
+    def _reduce(self, col: dict):
+        """Reduction in the internal representation; see ``reduce``."""
+        p = self.p
+        if p:
+            vec = {k: r for k, v in col.items() if (r := int(v) % p)}
+        else:
+            vec = {k: v for k, v in col.items() if v}
         combo: dict = {}
+        pivots = self.pivots
+        track = self.track
         heap = list(vec)
         heapq.heapify(heap)
+        # every position in vec has one heap entry: an entry is only added
+        # past the popped position, and a cancelled one stays until popped
         while heap:
             pos = heapq.heappop(heap)
-            a = vec.get(pos)
+            a = vec[pos] % p if p else vec[pos]
             if not a:
-                vec.pop(pos, None)
+                del vec[pos]
                 continue
-            hit = self.pivots.get(pos)
+            hit = pivots.get(pos)
             if hit is None:
-                # minimal surviving position has no pivot: vec is reduced from
-                # here on only at positions >= pos that match pivots; keep going
+                # no pivot here: the entry is final
+                vec[pos] = a
                 continue
-            cvec, ccombo = hit
+            tail, ccombo = hit
             del vec[pos]
-            for k, v in cvec.items():
-                if k == pos:
-                    continue
-                w = F.sub(vec.get(k, F.zero), F.mul(a, v))
-                if w:
-                    if k not in vec:
-                        heapq.heappush(heap, k)
-                    vec[k] = w
+            for k, v in tail.items():
+                w = vec.get(k)
+                if w is None:
+                    vec[k] = -a * v
+                    heapq.heappush(heap, k)
                 else:
-                    vec.pop(k, None)
-            if self.track:
+                    vec[k] = w - a * v
+            if track:
                 for k, v in ccombo.items():
-                    w = F.add(combo.get(k, F.zero), F.mul(a, v))
-                    if w:
-                        combo[k] = w
-                    else:
-                        combo.pop(k, None)
+                    combo[k] = combo.get(k, 0) + a * v
+        if p:
+            combo = {k: r for k, v in combo.items() if (r := v % p)}
+        else:
+            combo = {k: v for k, v in combo.items() if v}
         return vec, combo
+
+    def _export(self, vec: dict) -> dict:
+        if not self.p:
+            return vec
+        F = self.field
+        return {k: F(v) for k, v in vec.items()}
+
+    def reduce(self, col: dict):
+        """Return ``(residual, combo)`` with residual = col - sum(combo[t] * column_t)."""
+        vec, combo = self._reduce(col)
+        return self._export(vec), self._export(combo)
 
     def insert(self, col: dict, tag=None):
         """Reduce and, if independent, store the normalized residual.
@@ -237,32 +264,32 @@ class FieldEchelon:
         Returns ``(residual, combo)`` from the reduction; the residual is empty
         exactly when col was dependent on the stored columns.
         """
-        F = self.field
-        vec, combo = self.reduce(col)
+        p = self.p
+        vec, combo = self._reduce(col)
         if vec:
             pos = min(vec)
-            inv = F.inv(vec[pos])
-            stored = {k: F.mul(inv, v) for k, v in vec.items()}
+            if p:
+                inv = pow(vec[pos], -1, p)
+                tail = {k: v * inv % p for k, v in vec.items() if k != pos}
+            else:
+                inv = self.field.inv(vec[pos])
+                tail = {k: v * inv for k, v in vec.items() if k != pos}
             base = {}
             if self.track == "origin":
                 base[tag] = inv
                 for k, v in combo.items():
-                    base[k] = F.neg(F.mul(inv, v))
+                    base[k] = (-inv * v) % p if p else -inv * v
             elif self.track == "stored" and tag is not None:
-                base[tag] = F.one
-            self.pivots[pos] = (stored, base)
-        return vec, combo
+                base[tag] = 1
+            self.pivots[pos] = (tail, base)
+        return self._export(vec), self._export(combo)
 
 
-def _integer_columns(columns, field: Field):
-    """Scale field columns to integer columns; returns (int columns, scales)."""
+def _integer_columns(columns):
+    """Scale rational columns to integer columns; returns (int columns, scales)."""
     scaled = []
     scales = []
     for col in columns:
-        if field.p != 0:
-            scaled.append({k: int(v) % field.p for k, v in col.items() if v % field.p})
-            scales.append(1)
-            continue
         denom = 1
         for v in col.values():
             f = Fraction(v)
@@ -286,7 +313,7 @@ def rank_of_columns(columns, field: Field = QQ) -> int:
             ech.insert(col)
         return ech.rank
     ech = IntEchelon()
-    icols, _ = _integer_columns(columns, field)
+    icols, _ = _integer_columns(columns)
     for col in icols:
         ech.insert(col)
     return ech.rank
@@ -310,7 +337,7 @@ def kernel_of_columns(columns, field: Field = QQ):
                                                 | {j: field.one}, field))
         return ech.rank, kernel
     ech = IntEchelon(track=True)
-    icols, scales = _integer_columns(columns, field)
+    icols, scales = _integer_columns(columns)
     for j, col in enumerate(icols):
         combo = ech.insert(col, tag=j)
         if combo is not None:
@@ -353,10 +380,10 @@ def solve_in_image(m: SparseMatrix, b) -> dict | None:
             return None
         return {k: v for k, v in combo.items() if v}
     ech = IntEchelon(track=True)
-    icols, scales = _integer_columns(columns, field)
+    icols, scales = _integer_columns(columns)
     for j, col in enumerate(icols):
         ech.insert(col, tag=j)
-    bi, bscales = _integer_columns([{k: field(v) for k, v in b.items()}], field)
+    bi, bscales = _integer_columns([{k: field(v) for k, v in b.items()}])
     combo = ech.insert(bi[0], tag="b")
     if combo is None:
         return None

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from koszul import QQ, QuotientRing, parse_polynomial
@@ -13,6 +16,20 @@ def make_63ne(field=QQ):
     return ring_from_strings(
         ["x", "y", "z", "u"],
         ["x^2", "x*y", "x*z + u^2", "x*u", "y^2 + z^2", "z*u"], field)
+
+
+def generic_quadrics_ring(field=QQ, n=5, m=5, seed=0):
+    """m quadrics in n variables with one seeded coefficient per monomial:
+    uniform in [-9, 9] over QQ, uniform in range(p) over GF(p)."""
+    rng = random.Random(seed)
+    monomials = [tuple(sum(1 for k in pair if k == v) for v in range(n))
+                 for pair in itertools.combinations_with_replacement(range(n), 2)]
+    relations = []
+    for _ in range(m):
+        coeffs = [rng.randrange(field.p) if field.p else rng.randint(-9, 9)
+                  for _ in monomials]
+        relations.append({mono: c for mono, c in zip(monomials, coeffs) if c})
+    return QuotientRing(n, relations, field)
 
 
 @pytest.fixture(scope="session")

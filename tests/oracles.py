@@ -8,17 +8,29 @@ so ideal membership of p - reduce(p) can be verified by exact reconstruction.
 from fractions import Fraction
 
 
-def dense_rank_kernel(columns, nrows):
+def dense_rank_kernel(columns, nrows, p=0):
     """Rank and kernel of the matrix with the given sparse columns, by plain
-    row reduction of the dense transpose with tracking."""
+    row reduction of the dense transpose with tracking; over GF(p) for p > 0
+    (entries are then read as ints mod p), else over the rationals."""
+    if p:
+        def scalar(v):
+            return int(v) % p
+
+        def invert(v):
+            return pow(v, -1, p)
+    else:
+        scalar = Fraction
+
+        def invert(v):
+            return 1 / v
     ncols = len(columns)
     rows = []
     for j, col in enumerate(columns):
-        dense = [Fraction(0)] * nrows
+        dense = [scalar(0)] * nrows
         for r, v in col.items():
-            dense[r] = Fraction(v)
-        track = [Fraction(0)] * ncols
-        track[j] = Fraction(1)
+            dense[r] = scalar(v)
+        track = [scalar(0)] * ncols
+        track[j] = scalar(1)
         rows.append((dense, track))
     pivots = []
     rank = 0
@@ -31,23 +43,27 @@ def dense_rank_kernel(columns, nrows):
                     dense[k] -= factor * pdense[k]
                 for k in range(ncols):
                     track[k] -= factor * ptrack[k]
+                if p:
+                    dense = [v % p for v in dense]
+                    track = [v % p for v in track]
         pivot = next((k for k in range(nrows) if dense[k]), None)
         if pivot is None:
             kernel.append(track)
         else:
-            inv = 1 / dense[pivot]
-            dense = [v * inv for v in dense]
-            track = [v * inv for v in track]
+            inv = invert(dense[pivot])
+            dense = [scalar(v * inv) for v in dense]
+            track = [scalar(v * inv) for v in track]
             pivots.append((pivot, (dense, track)))
             rank += 1
     return rank, kernel
 
 
-def dense_homology_dim(d_in_columns, d_out_columns, nrows_in):
-    """dim ker(d_in) - rank(d_out) for one slice of a complex."""
-    rank_in, kernel = dense_rank_kernel(d_in_columns, nrows_in)
+def dense_homology_dim(d_in_columns, d_out_columns, nrows_in, p=0):
+    """dim ker(d_in) - rank(d_out) for one slice of a complex, over GF(p) for
+    p > 0, else over the rationals."""
+    rank_in, kernel = dense_rank_kernel(d_in_columns, nrows_in, p)
     nullity = len(kernel)
-    rank_out, _ = dense_rank_kernel(d_out_columns, len(d_in_columns))
+    rank_out, _ = dense_rank_kernel(d_out_columns, len(d_in_columns), p)
     return nullity - rank_out
 
 

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszul import QQ, QuotientRing, parse_polynomial
+from koszul import QQ, Field, QuotientRing, parse_polynomial
 from koszul.families import build_cycle_ring, build_path_ring
 from koszul.homology import (HomologyClass, differential, differential_of_basis,
                              homology, koszul_basis, koszul_basis_multigraded,
                              multigraded_homology)
 
-from conftest import make_63ne, ring_from_strings
+from conftest import generic_quadrics_ring, make_63ne, ring_from_strings
 from oracles import dense_homology_dim
 
 
@@ -106,6 +106,56 @@ def test_63ne_dims_table_vs_dense_oracle():
     expected_from_oracle[(0, 0)] = 1
     assert dims == expected_from_oracle
     assert dims[(1, 2)] == 6
+
+
+def _dense_oracle_dim(ring, i, j):
+    """dim H_{i,j} by dense elimination of the two adjacent differentials."""
+    basis = koszul_basis(ring, i, j)
+    below = {b: k for k, b in enumerate(koszul_basis(ring, i - 1, j))}
+    here = {b: k for k, b in enumerate(basis)}
+    d_in = [{below[key]: c for key, c in differential_of_basis(ring, v, w).items()}
+            for v, w in basis]
+    d_out = [{here[key]: c for key, c in differential_of_basis(ring, v, w).items()}
+             for v, w in koszul_basis(ring, i + 1, j)]
+    return dense_homology_dim(d_in, d_out, len(below), ring.field.p)
+
+
+RANK_ROUTE_RINGS = {
+    "generic-gf32003": (lambda: generic_quadrics_ring(Field(32003)), 5),
+    "generic-qq": (lambda: generic_quadrics_ring(QQ), 4),
+    "63ne": (make_63ne, 6),
+}
+
+
+@pytest.mark.parametrize("order", ["dims-first", "basis-first"])
+@pytest.mark.parametrize("name", sorted(RANK_ROUTE_RINGS))
+def test_rank_route_dims_match_bases_and_dense_oracle(name, order):
+    make, j_max = RANK_ROUTE_RINGS[name]
+    ring = make()
+    H = homology(ring, ring.n, j_max)
+    pairs = [(i, j) for j in range(1, j_max + 1) for i in range(1, min(j, ring.n) + 1)]
+    if order == "dims-first":
+        dims = {ij: H.dim(*ij) for ij in pairs}
+        assert not H._slices  # dimensions came from ranks alone
+        sizes = {ij: len(H.basis(*ij)) for ij in pairs}
+    else:
+        sizes = {ij: len(H.basis(*ij)) for ij in pairs}
+        dims = {ij: H.dim(*ij) for ij in pairs}
+        # a fresh algebra takes the rank route for the same numbers
+        fresh = homology(make(), ring.n, j_max)
+        assert {ij: fresh.dim(*ij) for ij in pairs} == dims
+    assert dims == sizes
+    assert dims == {ij: _dense_oracle_dim(ring, *ij) for ij in pairs}
+
+
+def test_dim_reads_an_existing_slice_without_ranking():
+    ring = make_63ne()
+    H = homology(ring, 4, 5)
+    cycle = H.basis(1, 2)[0].representative
+    H2 = homology(ring, 4, 5)
+    H2.coords_of_cycle(1, 2, cycle)   # builds the (1, 2) slice
+    assert H2.dim(1, 2) == len(H.basis(1, 2))
+    assert (1, 2) not in H2._ranks and (2, 2) not in H2._ranks
 
 
 def test_positive_strands():

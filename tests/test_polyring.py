@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszul import QQ, Field, QuotientRing, parse_polynomial, poly_to_string
-from koszul.polyring import (ParseError, grevlex_key, groebner_basis,
+from koszul.polyring import (GroebnerRun, ParseError, grevlex_key, groebner_basis,
                              is_homogeneous, leading_monomial, normal_form,
-                             poly_add, poly_mul)
+                             poly_add, poly_degree, poly_mul)
 
-from conftest import make_63ne, ring_from_strings
+from conftest import generic_quadrics_ring, make_63ne, ring_from_strings
 
 
 def test_grevlex_on_classic_example():
@@ -229,3 +229,45 @@ def test_degree_truncated_groebner_extends():
     ring.std_monomials(6)
     assert ring._gb_trusted >= 6 >= 2
     assert trusted_before <= ring._gb_trusted
+
+
+@pytest.mark.parametrize("field", [Field(32003), QQ], ids=["gf32003", "qq"])
+def test_resumed_groebner_matches_fresh_runs(field):
+    ring = generic_quadrics_ring(field)
+    fresh = {d: groebner_basis(ring.relations, field, d)[0] for d in range(8)}
+    # raising the degree one step at a time resumes the ring's one run
+    for d in range(8):
+        assert ring.groebner(d) == fresh[d]
+    # the stepped run holds what one run to degree 7 holds, pending pairs too
+    direct = GroebnerRun(ring.relations, field)
+    direct.extend(7)
+    assert ring._gb_run.basis == direct.basis
+    assert ring._gb_run.pairs == direct.pairs
+    assert all(deg > 7 for deg, *_ in direct.pairs)
+    # after a deeper request, the part of degree <= d is the truncated basis
+    # (once d reaches the degree of the relations)
+    deep = generic_quadrics_ring(field)
+    deep.groebner(7)
+    for d in range(2, 8):
+        assert [g for g in deep.groebner(d) if poly_degree(g) <= d] == fresh[d]
+
+
+def test_groebner_run_resumes_to_the_full_basis():
+    ring = make_63ne()
+    run = GroebnerRun(ring.relations, QQ)
+    for d in (2, 3, 5):
+        assert groebner_basis(ring.relations, QQ, d, run=run) == \
+            groebner_basis(ring.relations, QQ, d)
+    full, trusted = groebner_basis(ring.relations, QQ, run=run)
+    assert run.complete and full == groebner_basis(ring.relations, QQ)[0]
+
+
+def test_field_orders_decided_by_miller_rabin():
+    assert Field(2**61 - 1).p == 2**61 - 1        # used to hang in trial division
+    for p in (2, 3, 5, 7, 13, 32003):
+        assert Field(p).p == p
+    for composite in (1, 4, 561, 1105, 2**61 + 1, 3215031751):  # 561, 1105: Carmichael
+        with pytest.raises(ValueError):
+            Field(composite)
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        Field(2**89 - 1)
