@@ -6,9 +6,9 @@ Everything runs in exact arithmetic over the rationals or a prime field; all
 verdicts are bounded and carry explicit witnesses when negative.
 """
 
-from .betti import (BettiTable, Verdict, bar_betti, bar_betti_trigraded,
-                    betti_table, is_koszul_up_to, is_strand_koszul_up_to,
-                    poincare_K_from_R, shape_check, trigraded_betti)
+from .betti import (BettiTable, Verdict, betti_table, is_koszul_up_to,
+                    is_strand_koszul_up_to, poincare_K_from_R, shape_check,
+                    trigraded_betti)
 from .fields import QQ, Field, field_from_spec
 from .graded import (GradedAlgebraData, minimal_generators, present,
                      ring_algebra_data, strand_totalize)
@@ -35,7 +35,7 @@ __all__ = [
     "KoszulHomologyAlgebra",
     "GradedAlgebraData", "ring_algebra_data", "strand_totalize",
     "minimal_generators", "present",
-    "BettiTable", "Verdict", "bar_betti", "bar_betti_trigraded", "betti_table",
+    "BettiTable", "Verdict", "betti_table",
     "trigraded_betti", "is_koszul_up_to", "is_strand_koszul_up_to",
     "shape_check", "poincare_K_from_R",
     "check_theorem_A", "check_hilbert_identity", "check_low_degree_betti",

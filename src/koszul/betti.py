@@ -17,10 +17,14 @@ sit the bounded Koszulness verdicts and the Poincare-series plumbing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import gcd
+from operator import itemgetter, sub
 
 from .graded import GradedAlgebraData, add_grades
 from .series import SeriesTrunc, region_rect
-from .sparse import FieldEchelon, kernel_of_columns, rank_of_columns
+from .sparse import (FieldEchelon, IntEchelon, _integer_columns,
+                     rank_of_columns)
 
 
 def _zero_grade(A: GradedAlgebraData) -> tuple:
@@ -219,145 +223,212 @@ class BarEngine:
 
 
 class ResolutionEngine:
-    """Minimal graded free resolution of k over A, extended on demand."""
+    """Minimal graded free resolution of k over A, one homological step at a time.
+
+    An element of F_p in grade G is a dict over basis keys ``(k, comp, a)``:
+    generator k of F_p times basis element a of A_comp, where comp is G minus
+    the grade of k (``(k, zero, 0)`` is the generator itself).  Generators are
+    indexed by grade, so the basis of F_p at G is read off the splits
+    ``(g, G - g)`` of G into a component and a generator grade.
+
+    Step p visits the grades where F_{p-1} is nonzero, by increasing weight.
+    At a grade G, the images of the basis elements of F_p that are not
+    generators (a component times the map of a lower generator) span
+    m * Z_{p-1}(G), with Z_{p-1} the kernel of the differential of F_{p-1}.
+    The cycles of Z_{p-1}(G) independent of that span are the new generators
+    at G, and the dependencies among the images are Z_p(G), which the next
+    step reads.  So each grade costs one elimination per step.
+
+    Arithmetic runs on plain ints.  Over the rationals, cycles are primitive
+    integer vectors, and an image column with a non-integral entry (from a
+    non-integral structure constant) is scaled to integers before it enters
+    the ``IntEchelon``.  Over GF(p), entries are residues in ``range(p)`` and
+    the ``FieldEchelon`` runs on its int path.
+    """
 
     def __init__(self, A: GradedAlgebraData):
         self.A = A
         self.field = A.field
+        self.p = A.field.p
         self.zero = _zero_grade(A)
-        self.gens: list = [[self.zero]]   # grades of generators of F_p
-        self.maps: list = [[{}]]          # maps[p][k]: column of generator k in F_{p-1}
-        self.kernels: list = [None]       # kernels[p]: grade -> kernel basis of phi_p
-        self._extended_weight = [0]
+        self.gens: list = [[self.zero]]   # gens[p]: grades of the generators of F_p
+        self._components = sorted(((A.weight(g), g) for g in A.components))
+        self._products: dict = {}
+        self._splits: dict = {}
 
-    def _module_basis(self, gens: list, grade: tuple):
-        out = []
-        for k, h in enumerate(gens):
-            comp = tuple(a - b for a, b in zip(grade, h))
-            if any(c < 0 for c in comp):
-                continue
-            if not any(comp):
-                out.append((k, self.zero, 0))
-            else:
-                dim = self.A.components.get(comp, 0)
-                out.extend((k, comp, a) for a in range(dim))
-        return out
+    def _plain(self, c):
+        if self.p:
+            return int(c) % self.p
+        if isinstance(c, Fraction) and c.denominator == 1:
+            return c.numerator
+        return c
+
+    def _product(self, g: tuple, a: int, g2: tuple, b: int) -> tuple:
+        """A.mult with its structure constants made plain, once per product."""
+        key = (g, a, g2, b)
+        hit = self._products.get(key)
+        if hit is None:
+            hit = tuple((x, self._plain(c))
+                        for x, c in self.A.mult(g, a, g2, b).items())
+            self._products[key] = hit
+        return hit
 
     def _act(self, g: tuple, a: int, vec: dict) -> dict:
+        """Basis element a of A_g times a module element."""
         out: dict = {}
         for (k2, g2, b), c in vec.items():
             if g2 == self.zero:
                 key = (k2, g, a)
-                acc = out.get(key, self.field.zero) + c
-            else:
-                for x, cx in self.A.mult(g, a, g2, b).items():
-                    key = (k2, add_grades(g, g2), x)
-                    acc = out.get(key, self.field.zero) + c * cx
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
+                out[key] = out.get(key, 0) + c
                 continue
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
+            g12 = add_grades(g, g2)
+            for x, cx in self._product(g, a, g2, b):
+                key = (k2, g12, x)
+                out[key] = out.get(key, 0) + c * cx
+        if self.p:
+            p = self.p
+            return {key: r for key, v in out.items() if (r := v % p)}
+        return {key: v for key, v in out.items() if v}
+
+    def _split(self, G: tuple, w: int) -> list:
+        """The pairs (g, G - g) with g a component and G - g a grade; w is
+        the weight of G."""
+        hit = self._splits.get(G)
+        if hit is None:
+            hit = []
+            for wg, g in self._components:
+                if wg > w:
+                    break
+                rest = tuple(map(sub, G, g))
+                if min(rest) >= 0:
+                    hit.append((g, rest))
+            self._splits[G] = hit
+        return hit
+
+    def _module_basis(self, index: dict, G: tuple, w: int) -> list:
+        """Basis keys at G, of weight w, of the free module with generators
+        ``{grade: [k]}``, ordered by generator."""
+        dims = self.A.components
+        out = [(k, self.zero, 0) for k in index.get(G, ())]
+        for g, rest in self._split(G, w):
+            ks = index.get(rest)
+            if ks:
+                out.extend((k, g, a) for k in ks for a in range(dims[g]))
+        out.sort(key=itemgetter(0))
         return out
 
-    def _weights_sorted_grades(self, weight_max: int):
-        grades = []
-        for g in self.A.components:
-            w = self.A.weight(g)
-            if w <= weight_max:
-                grades.append((w, g))
-        # all total grades reachable as sums, weight-bounded
-        total = {g for _, g in grades}
-        changed = True
-        while changed:
-            changed = False
-            new = set()
-            for g1 in total:
-                for _, g2 in grades:
-                    g = add_grades(g1, g2)
-                    if self.A.weight(g) <= weight_max and g not in total:
-                        new.add(g)
-            if new:
-                total |= new
-                changed = True
-        return sorted(total, key=lambda g: (self.A.weight(g), g))
+    def _support(self, index: dict, w_max: int) -> list:
+        """Sorted (weight, grade) pairs, weight 1..w_max, where that free
+        module is nonzero."""
+        A = self.A
+        out: dict = {}
+        for h in index:
+            wh = A.weight(h) if h != self.zero else 0
+            if 0 < wh <= w_max:
+                out[h] = wh
+            for wg, g in self._components:
+                if wh + wg > w_max:
+                    break
+                out[add_grades(h, g)] = wh + wg
+        return sorted((w, G) for G, w in out.items())
 
-    def extend(self, p_max: int, weight_max: int):
+    def _column(self, vec: dict, index: dict) -> tuple:
+        """A module element as an echelon column over ``index``, with the
+        factor it was scaled by to make it integral."""
+        col = {index[key]: c for key, c in vec.items()}
+        if self.p or all(type(c) is int for c in col.values()):
+            return col, 1
+        icols, scales = _integer_columns([col])
+        return icols[0], scales[0]
+
+    def _independent(self, ech, col: dict) -> bool:
+        if self.p:
+            return bool(ech.insert(col)[0])
+        return ech.insert(col) is None
+
+    def extend(self, p_max: int, weight_max: int, total_bound: int | None = None):
+        """Resolve to homological degree p_max and weight weight_max; with a
+        total bound T, step p stops at weight T - p.
+
+        That is exact for every entry with p + weight <= T: step p at weight w
+        reads only step p - 1 at weights <= w.
+        """
         if weight_max > self.A.bound:
             raise ValueError(f"weight bound {weight_max} beyond trusted "
                              f"bound {self.A.bound}")
-        if (len(self.gens) - 1 >= p_max
-                and min(self._extended_weight[1:] or [weight_max]) >= weight_max):
-            return
-        # restart cleanly if the weight range grew
-        if self._extended_weight[1:] and min(self._extended_weight[1:]) < weight_max:
-            self.gens = [[self.zero]]
-            self.maps = [[{}]]
-            self.kernels = [None]
-            self._extended_weight = [0]
-        all_grades = self._weights_sorted_grades(weight_max)
-        while len(self.gens) - 1 < p_max:
-            p = len(self.gens)
-            prev_gens = self.gens[p - 1]
-            prev_maps = self.maps[p - 1]
-            kernel_at: dict = {}
-            new_gens: list = []
-            new_maps: list = []
-            for G in all_grades:
-                basis_prev = self._module_basis(prev_gens, G)
-                if not basis_prev:
-                    continue
-                if p == 1:
-                    # augmentation: everything of positive weight is the kernel
-                    kernel = [{i: self.field.one} for i in range(len(basis_prev))]
-                else:
-                    below = self._module_basis(self.gens[p - 2], G)
-                    index = {key: i for i, key in enumerate(below)}
-                    cols = []
-                    for (k, comp, a) in basis_prev:
-                        if comp == self.zero:
-                            img = prev_maps[k]
-                        else:
-                            img = self._act(comp, a, prev_maps[k])
-                        cols.append({index[key]: c for key, c in img.items()})
-                    _, kernel = kernel_of_columns(cols, self.field)
-                if not kernel:
-                    continue
-                kernel_at[G] = (basis_prev, kernel)
-                # minimal generators: kernel modulo (ideal * kernel)
-                ech = FieldEchelon(self.field)
-                for g in self.A.components:
-                    lower = tuple(a - b for a, b in zip(G, g))
-                    if any(c < 0 for c in lower) or not any(lower):
-                        hit = None
-                    else:
-                        hit = kernel_at.get(lower)
-                    if hit is None:
-                        continue
-                    lbasis, lkernel = hit
-                    index_here = {key: i for i, key in enumerate(basis_prev)}
-                    for a in range(self.A.components[g]):
-                        for kv in lkernel:
-                            keyed = {lbasis[i]: c for i, c in kv.items()}
-                            moved = self._act(g, a, keyed)
-                            ech.insert({index_here[key]: c
-                                        for key, c in moved.items()})
-                for kv in kernel:
-                    residual, _ = ech.insert(kv)
-                    if residual:
-                        new_gens.append(G)
-                        new_maps.append({basis_prev[i]: c for i, c in kv.items()})
-            self.gens.append(new_gens)
-            self.maps.append(new_maps)
-            self.kernels.append(kernel_at)
-            self._extended_weight.append(weight_max)
 
-    def betti_entries(self, p_max: int, weight_max: int) -> dict:
-        self.extend(p_max, weight_max)
+        def reach(p):
+            if p > p_max:
+                return 0
+            return weight_max if total_bound is None else min(weight_max,
+                                                              total_bound - p)
+
+        zero = self.zero
+        self.gens = [[zero]]
+        index = {zero: [0]}   # generators of F_{p-1} by grade
+        bases: dict = {}      # grade -> basis keys of F_{p-1}, where step p-1 kept them
+        cycles: dict = {}     # grade -> Z_{p-1} over that basis; absent: all of F_{p-1}
+        for p in range(1, p_max + 1):
+            gens: list = []
+            maps: list = []   # maps[k]: image of generator k of F_p in F_{p-1}
+            new_index: dict = {}
+            new_bases: dict = {}
+            new_cycles: dict = {}
+            for w, G in self._support(index, reach(p)):
+                cyc = cycles.get(G)
+                if cyc == []:
+                    # Z_{p-1}(G) = 0: no generator here, and d_p vanishes on
+                    # F_p(G), which the next step reads as all cycles
+                    continue
+                basis_prev = bases.get(G) or self._module_basis(index, G, w)
+                if cyc is None:
+                    cyc = [{i: 1} for i in range(len(basis_prev))]
+                keep = w <= reach(p + 1)
+                moved = self._module_basis(new_index, G, w)
+                # images of the moved basis, tracked for Z_p(G) when kept
+                if self.p:
+                    ech = FieldEchelon(self.field, track=keep)
+                else:
+                    ech = IntEchelon(track=keep)
+                at = {key: i for i, key in enumerate(basis_prev)}
+                relations = []
+                scales = []
+                for i, (k, g, a) in enumerate(moved):
+                    col, scale = self._column(self._act(g, a, maps[k]), at)
+                    scales.append(scale)
+                    if self.p:
+                        residual, combo = ech.insert(col, tag=i)
+                        if keep and not residual:
+                            rel = {t: -int(c) % self.p for t, c in combo.items()}
+                            rel[i] = 1
+                            relations.append(rel)
+                    else:
+                        combo = ech.insert(col, tag=i)
+                        if keep and combo is not None:
+                            rel = {t: c * scales[t] for t, c in combo.items()}
+                            div = gcd(*rel.values())
+                            relations.append({t: c // div for t, c in rel.items()})
+                # the span is inside Z_{p-1}(G): the rank gap counts new generators
+                missing = len(cyc) - ech.rank
+                ech.track = False   # cycles are only tested for independence
+                for z in cyc:
+                    if not missing:
+                        break
+                    if self._independent(ech, z):
+                        new_index.setdefault(G, []).append(len(gens))
+                        moved.append((len(gens), zero, 0))
+                        gens.append(G)
+                        maps.append({basis_prev[i]: c for i, c in z.items()})
+                        missing -= 1
+                if keep:
+                    new_bases[G] = moved
+                    new_cycles[G] = relations
+            self.gens.append(gens)
+            index, bases, cycles = new_index, new_bases, new_cycles
+
+    def betti_entries(self, p_max: int, weight_max: int,
+                      total_bound: int | None = None) -> dict:
+        self.extend(p_max, weight_max, total_bound)
         out = {(0, self.zero): 1}
         for p in range(1, p_max + 1):
             for G in self.gens[p]:
@@ -404,7 +475,7 @@ def betti_table(A: GradedAlgebraData, p_max: int, weight_max: int,
                   <= BAR_AUTO_LIMIT else "resolution")
     if engine == "resolution":
         eng = ResolutionEngine(A)
-        entries = eng.betti_entries(p_max, weight_max)
+        entries = eng.betti_entries(p_max, weight_max, total_bound)
         entries = {(p, g): v for (p, g), v in entries.items()
                    if _in_region(p, A.weight(g) if g != eng.zero else 0,
                                  p_max, weight_max, total_bound)}
@@ -422,16 +493,6 @@ def betti_table(A: GradedAlgebraData, p_max: int, weight_max: int,
             if v:
                 entries[(p, grade)] = v
     return BettiTable(entries, p_max, weight_max, "bar", total_bound)
-
-
-def bar_betti(A: GradedAlgebraData, p_max: int, q_max: int) -> BettiTable:
-    """Betti table via the reduced bar complex (the defining route)."""
-    return betti_table(A, p_max, q_max, engine="bar")
-
-
-def bar_betti_trigraded(H, p_max: int, j_max: int) -> dict:
-    """Trigraded beta^H_{pij} via the bar complex over the homology algebra."""
-    return trigraded_betti(H, p_max, j_max, engine="bar")
 
 
 @dataclass

@@ -132,8 +132,6 @@ def cmd_homology(args) -> int:
     ring, digest = load_ring(args.ring, args.field)
     i_max = args.max_hom if args.max_hom is not None else ring.n
     j_max = args.max_int if args.max_int is not None else ring.n + 2
-    if i_max < 0 or j_max < 0:
-        raise UsageError("bounds must be nonnegative")
     started = time.perf_counter()
     H = homology(ring, i_max, j_max)
     dims = H.dims()
@@ -182,8 +180,19 @@ def cmd_check(args) -> int:
         verdicts["koszul"] = v.to_json()
     elif what == "strand-koszul":
         H = homology(ring, ring.n, j_max)
-        v = is_strand_koszul_up_to(H, p_max, j_max, trigraded=not args.strand_route,
-                                   engine=args.engine)
+        if args.strand_route:
+            # H built to j_max is trusted to a lower strand weight (see
+            # KoszulHomologyAlgebra.algebra_data), so test only up to that
+            strand_max = H.algebra_data("strand").bound
+            if strand_max < 1:
+                # monomial rings are trusted to j_max once j_max reaches n
+                needed = ring.n if H.multigraded else ring.n + 1
+                raise UsageError(f"--strand-route needs --max-int >= {needed} "
+                                 f"on this ring, got {j_max}")
+            v = is_strand_koszul_up_to(H, p_max, strand_max, engine=args.engine)
+        else:
+            v = is_strand_koszul_up_to(H, p_max, j_max, trigraded=True,
+                                       engine=args.engine)
         verdicts["strand_koszul"] = v.to_json()
     elif what == "quasi-formal":
         v = check_quasi_formal(ring, p_max, j_max, engine=args.engine)
@@ -290,6 +299,22 @@ def cmd_family(args) -> int:
     return 0 if cert.verdict.status != "INCONSISTENT" else 1
 
 
+def _bounded_int(least: int):
+    """An argparse type: an int no smaller than ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return parse
+
+
+NONNEGATIVE = _bounded_int(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="koszul",
@@ -300,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--field", default=None,
                        help='override the ring document field: "QQ" or "F<p>"')
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_bounded_int(1), default=1,
                        help="accepted for compatibility; has no effect "
                             "(everything runs on one thread)")
         p.add_argument("--timing", action="store_true",
@@ -310,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hom = sub.add_parser("homology", help="Koszul homology dimension table")
     p_hom.add_argument("ring", help="ring document (JSON)")
-    p_hom.add_argument("--max-hom", type=int, default=None)
-    p_hom.add_argument("--max-int", type=int, default=None)
+    p_hom.add_argument("--max-hom", type=NONNEGATIVE, default=None)
+    p_hom.add_argument("--max-int", type=NONNEGATIVE, default=None)
     p_hom.add_argument("--multigraded", action="store_true")
     common(p_hom)
     p_hom.set_defaults(func=cmd_homology)
@@ -319,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run one of the named checks")
     p_check.add_argument("ring", help="ring document (JSON)")
     p_check.add_argument("--what", choices=CHECKS, required=True)
-    p_check.add_argument("--bound", type=int, default=6)
-    p_check.add_argument("--max-hom", type=int, default=None)
-    p_check.add_argument("--max-int", type=int, default=None)
+    p_check.add_argument("--bound", type=NONNEGATIVE, default=6)
+    p_check.add_argument("--max-hom", type=NONNEGATIVE, default=None)
+    p_check.add_argument("--max-int", type=NONNEGATIVE, default=None)
     p_check.add_argument("--strand-route", action="store_true",
                          help="test strand-Koszulness through the strand "
                               "totalization instead of trigraded Betti numbers")
@@ -331,13 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam = sub.add_parser("family", help="family-specific certification")
     p_fam.add_argument("--family", choices=("ci", "gorenstein", "three-rel",
                                             "path", "cycle"), required=True)
-    p_fam.add_argument("-n", type=int, default=None)
+    p_fam.add_argument("-n", type=NONNEGATIVE, default=None)
     p_fam.add_argument("--ring", default=None, help="ring document (JSON)")
     p_fam.add_argument("--quadrics", default=None,
                        help="comma-separated quadric expressions (ci family)")
     p_fam.add_argument("--variables", default=None,
                        help="comma-separated variable names (ci family)")
-    p_fam.add_argument("--max-hom", type=int, default=None)
+    p_fam.add_argument("--max-hom", type=NONNEGATIVE, default=None)
     common(p_fam)
     p_fam.set_defaults(func=cmd_family)
     return parser

@@ -150,14 +150,17 @@ def check_low_degree_betti(R: QuotientRing, j_max: int,
 
 def check_quasi_formal(R: QuotientRing, m_max: int, j_max: int,
                        engine: str = "auto",
-                       H: KoszulHomologyAlgebra | None = None) -> Verdict:
+                       H: KoszulHomologyAlgebra | None = None,
+                       P_R: SeriesTrunc | None = None) -> Verdict:
     """Quasi-formality of K, decided coefficientwise.
 
     Equality beta^K_{mj} = sum_{p+q=m} beta^H_{pqj} within the bound gives the
     bounded positive verdict; a strict deficit at one coefficient is an
     unconditional negative certificate.  An excess is impossible and raises.
+    ``P_R``, when given, must be ``ring_poincare(R, m_max, j_max)``.
     """
-    P_R = ring_poincare(R, m_max, j_max, engine=engine)
+    if P_R is None:
+        P_R = ring_poincare(R, m_max, j_max, engine=engine)
     P_K = poincare_K_from_R(P_R, R.n)
     if H is None:
         H = homology(R, R.n, j_max)
@@ -189,7 +192,7 @@ def check_theorem_B(R: QuotientRing, p_max: int, j_max: int,
     P_K = poincare_K_from_R(P_R, R.n)
     koszul_K = all(p == q or v == 0 for (p, q), v in P_K.coeffs.items())
     koszul_R = all(p == q or v == 0 for (p, q), v in P_R.coeffs.items())
-    qf = check_quasi_formal(R, p_max, j_max, engine=engine, H=H)
+    qf = check_quasi_formal(R, p_max, j_max, engine=engine, H=H, P_R=P_R)
     statements = {
         "1_strand_koszul_H": s1.positive,
         "2_K_koszul_and_quasiformal": koszul_K and qf.positive,

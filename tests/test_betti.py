@@ -2,11 +2,11 @@ from math import comb
 
 import pytest
 
-from koszul import QQ, QuotientRing
+from koszul import QQ, Field, QuotientRing
 from koszul.betti import (BarEngine, betti_table, is_koszul_up_to,
                           is_strand_koszul_up_to, poincare_K_from_R,
                           shape_check, trigraded_betti)
-from koszul.families import build_path_ring
+from koszul.families import build_cycle_ring, build_path_ring
 from koszul.graded import GradedAlgebraData, ring_algebra_data, strand_totalize
 from koszul.homology import homology
 from koszul.series import SeriesTrunc, region_rect
@@ -75,6 +75,40 @@ def test_engines_agree_across_suite():
         bar = betti_table(A, 4, 5, engine="bar")
         res = betti_table(A, 4, 5, engine="resolution")
         assert bar.entries == res.entries, name
+
+
+@pytest.mark.parametrize("total_bound", [None, 6, 5, 4])
+def test_engines_agree_with_total_bound(total_bound):
+    rings = dict(suite_rings())
+    rings["63ne_F7"] = make_63ne(Field(7))
+    rings["63ne_F32003"] = make_63ne(Field(32003))
+    # non-integral structure constants reach the resolution engine as Fractions
+    rings["fractions"] = ring_from_strings(
+        ["x", "y", "z"], ["x^2 - 1/2*y*z", "y^2 + 2/3*x*z"])
+    for name, ring in rings.items():
+        A = ring_algebra_data(ring, 6)
+        bar = betti_table(A, 5, 6, engine="bar", total_bound=total_bound)
+        res = betti_table(A, 5, 6, engine="resolution", total_bound=total_bound)
+        assert bar.entries == res.entries, (name, total_bound)
+
+
+def test_resolution_total_bound_prunes_exactly(ring_63ne):
+    # the pruned resolution keeps every entry of the full one inside p + w <= T
+    A = ring_algebra_data(ring_63ne, 8)
+    full = betti_table(A, 8, 8, engine="resolution")
+    for T in (8, 6, 3):
+        pruned = betti_table(A, 8, 8, engine="resolution", total_bound=T)
+        assert pruned.entries == {(p, g): v for (p, g), v in full.entries.items()
+                                  if p + g[0] <= T}
+
+
+def test_engines_agree_multigraded_cycle():
+    H = homology(build_cycle_ring(6), 6, 6)
+    assert H.multigraded
+    bar = trigraded_betti(H, 4, 6, engine="bar")
+    res = trigraded_betti(H, 4, 6, engine="resolution")
+    assert bar == res
+    assert bar[(2, 2, 4)] == 33
 
 
 def test_engines_agree_trigraded():

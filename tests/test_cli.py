@@ -213,3 +213,34 @@ def test_prime_field_ring(tmp_path, capsys):
                                 "--bound", "4"])
     assert code == 0
     assert doc["verdicts"]["koszul"]["status"] == "KOSZUL-UP-TO-BOUND"
+
+
+def test_check_strand_route_uses_trusted_bound(tmp_path, capsys):
+    # H built to internal degree 6 over 63ne (n = 4) is trusted to strand 2
+    path = write_ring(tmp_path, RING_63NE)
+    code, doc, _ = run(capsys, ["check", path, "--what", "strand-koszul",
+                                "--bound", "6", "--max-hom", "3",
+                                "--strand-route"])
+    assert code == 0
+    verdict = doc["verdicts"]["strand_koszul"]
+    assert verdict["bound"] == {"p_max": 3, "strand_max": 2}
+    assert verdict["status"] == "STRAND-KOSZUL-UP-TO-BOUND"
+    # below internal degree n + 1 no strand is trusted: a usage error
+    assert main(["check", path, "--what", "strand-koszul", "--bound", "4",
+                 "--strand-route"]) == 2
+    assert "--max-int >= 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "@", "--what", "koszul", "--bound", "-3"],
+    ["check", "@", "--what", "theorem-a", "--max-hom", "-1"],
+    ["check", "@", "--what", "koszul", "--max-int", "-2"],
+    ["homology", "@", "--max-hom", "-1"],
+    ["homology", "@", "--max-int", "-1"],
+    ["homology", "@", "--jobs", "0"],
+    ["family", "--family", "cycle", "-n", "-4"],
+])
+def test_negative_bounds_rejected_at_parse_time(tmp_path, capsys, argv):
+    path = write_ring(tmp_path, RING_PATH3)
+    assert main([path if a == "@" else a for a in argv]) == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err

@@ -94,6 +94,25 @@ def test_theorem_B_63ne(ring_63ne):
     assert report.data["strand_witness"] is not None
 
 
+def test_theorem_B_computes_P_R_once(ring_63ne, monkeypatch):
+    import koszul.identities as identities
+    calls = []
+    original = identities.ring_poincare
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "ring_poincare", counted)
+    report = check_theorem_B(ring_63ne, 5, 6)
+    assert calls == [(5, 6)]
+    assert report.passed
+    # a supplied series gives the verdict computed from scratch
+    P_R = original(ring_63ne, 5, 6)
+    assert (check_quasi_formal(ring_63ne, 5, 6, P_R=P_R).to_json()
+            == check_quasi_formal(ring_63ne, 5, 6).to_json())
+
+
 def test_theorem_B_cubic(ring_x3):
     report = check_theorem_B(ring_x3, 4, 6)
     assert report.passed
