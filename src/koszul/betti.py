@@ -530,13 +530,14 @@ def is_koszul_up_to(A: GradedAlgebraData, p_max: int, weight_max: int,
 
 
 def is_strand_koszul_up_to(H, p_max: int, bound: int, trigraded: bool = False,
-                           engine: str = "auto") -> Verdict:
+                           engine: str = "auto", tri: dict | None = None) -> Verdict:
     """Strand-Koszulness of a Koszul homology algebra, up to bounds.
 
     Default route: Koszulness of the strand totalization (``bound`` = strand
     degree).  With ``trigraded=True`` the test runs on the trigraded Betti
     numbers instead (``bound`` = internal degree) and a witness is a tridegree
-    (p, i, j) with p != j - i.
+    (p, i, j) with p != j - i; ``tri``, when given, must be
+    ``trigraded_betti(H, p_max, bound)``.
     """
     if not trigraded:
         A = H.algebra_data("strand")
@@ -545,10 +546,8 @@ def is_strand_koszul_up_to(H, p_max: int, bound: int, trigraded: bool = False,
                   else "NOT-STRAND-KOSZUL")
         return Verdict(status, {"p_max": p_max, "strand_max": bound},
                        witness=inner.witness, details=inner.details)
-    mode = "multigraded" if H.multigraded else "bigraded"
-    A = H.algebra_data(mode)
-    table = betti_table(A, p_max, bound, engine=engine)
-    tri = table.trigraded()
+    if tri is None:
+        tri = trigraded_betti(H, p_max, bound, engine=engine)
     bound_desc = {"p_max": p_max, "internal_max": bound}
     for (p, i, j) in sorted(tri, key=lambda k: (k[2], k[0], k[1])):
         if tri[(p, i, j)] and p != j - i and (p, i, j) != (0, 0, 0):

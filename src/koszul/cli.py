@@ -60,6 +60,8 @@ def load_ring(path: str, field_override: str | None = None) -> tuple[QuotientRin
         raise UsageError(f"cannot read ring file: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"ring file is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise UsageError("ring document must be a JSON object")
     for key in ("field", "variables", "relations"):
         if key not in doc:
             raise UsageError(f"ring document is missing {key!r}")
@@ -69,9 +71,19 @@ def load_ring(path: str, field_override: str | None = None) -> tuple[QuotientRin
         field = field_from_spec(doc["field"])
     except ValueError as exc:
         raise UsageError(str(exc))
-    names = list(doc["variables"])
+    names = doc["variables"]
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise UsageError(f"'variables' must be a list of names, got {names!r}")
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise UsageError(f"'variables' names {name!r} twice")
+    if not isinstance(doc["relations"], list):
+        raise UsageError(f"'relations' must be a list of strings, "
+                         f"got {doc['relations']!r}")
     relations = []
-    for text in doc["relations"]:
+    for k, text in enumerate(doc["relations"]):
+        if not isinstance(text, str):
+            raise UsageError(f"relation {k} must be a string, got {text!r}")
         try:
             relations.append(parse_polynomial(text, names, field))
         except ParseError as exc:

@@ -161,5 +161,9 @@ def field_from_spec(spec) -> Field:
     if spec == "QQ":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
-        return Field(int(spec["Fp"]))
+        try:
+            order = int(spec["Fp"])
+        except (TypeError, ValueError):
+            raise ValueError(f"unrecognized field spec: {spec!r}") from None
+        return Field(order)
     raise ValueError(f"unrecognized field spec: {spec!r}")

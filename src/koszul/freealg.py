@@ -145,6 +145,11 @@ class ReductionSystem:
             self.elements.append(p)
         self.elements.sort(key=lambda p: algebra.deglex_key(algebra.leading_word(p)))
         self.leading = [algebra.leading_word(p) for p in self.elements]
+        by_length: dict = {}  # leading words grouped by length
+        for lw in self.leading:
+            by_length.setdefault(len(lw), set()).add(lw)
+        self._leading_by_length = sorted(by_length.items())
+        self._reduced = [[()]]  # reduced words of degree d, in lex order
 
     def find_reducer(self, word: tuple):
         """(rule index, position) for the first leading word occurring in word."""
@@ -184,32 +189,30 @@ class ReductionSystem:
         return self.find_reducer(word) is None
 
     def reduced_words(self, degree: int) -> list[tuple]:
-        """All degree-d words avoiding every leading word as a subword."""
-        alg = self.algebra
-        suffix_rules = self.leading
-        out: list[tuple] = []
+        """All degree-d words avoiding every leading word as a subword.
 
-        def extend(word, remaining):
-            if remaining == 0:
-                out.append(word)
-                return
-            for i in range(alg.ngens):
-                di = alg.degrees[i]
-                if di > remaining:
+        Words are in lexicographic order; the list is a fresh copy of a cache
+        that grows one degree at a time.  A word is reduced iff its tail after
+        the first letter is reduced and none of its prefixes is a leading
+        word, so degree d is built by prepending each letter i to the reduced
+        words of degree d - deg(i), which also keeps lex order.
+        """
+        if degree < 0:
+            return []
+        levels = self._reduced
+        degrees = self.algebra.degrees
+        for d in range(len(levels), degree + 1):
+            level = []
+            for i, di in enumerate(degrees):
+                if di > d:
                     continue
-                cand = word + (i,)
-                # prefixes are clean, so only suffixes can turn forbidden
-                bad = False
-                for lw in suffix_rules:
-                    if len(lw) <= len(cand) and cand[len(cand) - len(lw):] == lw:
-                        bad = True
-                        break
-                if not bad:
-                    extend(cand, remaining - di)
-
-        if degree >= 0:
-            extend((), degree)
-        return out
+                for tail in levels[d - di]:
+                    word = (i,) + tail
+                    if not any(word[:length] in lead
+                               for length, lead in self._leading_by_length):
+                        level.append(word)
+            levels.append(level)
+        return list(levels[degree])
 
 
 @dataclass

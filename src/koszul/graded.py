@@ -51,14 +51,6 @@ class GradedAlgebraData:
     def dim(self, grade: tuple) -> int:
         return self.components.get(grade, 0)
 
-    def weight_dims(self) -> dict:
-        """Total dimension per weight (the Hilbert function of the ideal)."""
-        out: dict = {}
-        for g, d in self.components.items():
-            w = self.weight(g)
-            out[w] = out.get(w, 0) + d
-        return out
-
     def mult(self, g1: tuple, a: int, g2: tuple, b: int) -> dict:
         key = (g1, a, g2, b)
         hit = self._memo.get(key)

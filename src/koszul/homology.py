@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
 from .graded import GradedAlgebraData
-from .polyring import QuotientRing, grevlex_key, mono_divides
+from .polyring import QuotientRing, grevlex_key
 from .sparse import FieldEchelon, kernel_of_columns, rank_of_columns
 
 
@@ -47,31 +47,26 @@ def koszul_basis_multigraded(ring: QuotientRing, i: int, u: tuple) -> tuple:
     support = [k for k, e in enumerate(u) if e]
     if i > len(support):
         return ()
-    lms = ring.leading_monomials(sum(u))
     out = []
     for w in itertools.combinations(support, i):
         v = tuple(e - (k in w) for k, e in enumerate(u))
-        if not any(mono_divides(lm, v) for lm in lms):
+        if ring.is_standard(v):
             out.append((v, w))
     out.sort(key=lambda bw: (bw[1], grevlex_key(bw[0])))
     return tuple(out)
 
 
 def differential_of_basis(ring: QuotientRing, v: tuple, w: tuple) -> dict:
-    """Image of x^v t_w under the differential, as a dict over (i-1)-basis pairs."""
+    """Image of x^v t_w under the differential, as a dict over (i-1)-basis pairs.
+
+    Each term drops a different index from w, so no two terms share a key.
+    """
     out: dict = {}
     for p, wp in enumerate(w):
-        sign = 1 if p % 2 == 0 else -1
-        unit = tuple(1 if k == wp else 0 for k in range(ring.n))
-        prod = ring.mono_product(v, unit)
+        unit = (0,) * wp + (1,) + (0,) * (ring.n - wp - 1)
         rest = w[:p] + w[p + 1:]
-        for m, c in prod.items():
-            key = (m, rest)
-            acc = out.get(key, ring.field.zero) + sign * c
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
+        for m, c in ring.mono_product(v, unit).items():
+            out[(m, rest)] = -c if p % 2 else c
     return out
 
 
@@ -180,6 +175,8 @@ class KoszulHomologyAlgebra:
         self._ranks: dict = {}
         self._slices: dict = {}
         self._bases: dict = {}
+        # (i, j) -> {u: index of u's first class in basis(i, j)}, multigraded
+        self._offsets: dict = {}
         self._product_cache: dict = {}
 
     # -- slice plumbing -----------------------------------------------------
@@ -231,6 +228,19 @@ class KoszulHomologyAlgebra:
     def _squarefree_multidegrees(self, j: int):
         for support in itertools.combinations(range(self.ring.n), j):
             yield tuple(1 if k in support else 0 for k in range(self.ring.n))
+
+    def _offset_table(self, i: int, j: int) -> dict:
+        """Start of each squarefree u's classes in basis(i, j), from slice dims."""
+        key = (i, j)
+        hit = self._offsets.get(key)
+        if hit is None:
+            hit = {}
+            offset = 0
+            for u in self._squarefree_multidegrees(j):
+                hit[u] = offset
+                offset += self._slice_dim(i, u)
+            self._offsets[key] = hit
+        return hit
 
     def _check_bounds(self, i: int, j: int):
         if not (0 <= i <= self.i_max and 0 <= j <= self.j_max):
@@ -309,17 +319,18 @@ class KoszulHomologyAlgebra:
             by_u: dict = {}
             for bw, c in element.items():
                 by_u.setdefault(_multidegree(bw), {})[bw] = c
-            offset = 0
+            # only the slices the cycle touches are built; the others
+            # contribute their dims to the offsets, which come from ranks
+            offsets = self._offset_table(i, j)
             coords = {}
-            for u in self._squarefree_multidegrees(j):
-                sl = self._slice(i, u)
+            for u, offset in offsets.items():
                 part = by_u.pop(u, None)
                 if part:
+                    sl = self._slice(i, u)
                     for r, c in sl.coords({sl.index[bw]: c for bw, c in part.items()}).items():
                         if c:
                             coords[offset + r] = c
-                offset += sl.dim
-            for u, part in by_u.items():
+            for u in by_u:
                 # cycles over non-squarefree multidegrees are boundaries
                 if _squarefree(u):
                     raise ValueError(f"unexpected squarefree leftover {u}")

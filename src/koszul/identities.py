@@ -52,13 +52,15 @@ def ring_poincare(R: QuotientRing, p_max: int, j_max: int,
 
 
 def homology_poincare_sst(H: KoszulHomologyAlgebra, p_max: int, j_max: int,
-                          engine: str = "auto") -> SeriesTrunc:
+                          engine: str = "auto", tri: dict | None = None) -> SeriesTrunc:
     """P^H_k(s, s, t): trigraded series with both homological variables merged.
 
     Valid for s-exponents m <= p_max: every contribution to s^m has bar index
-    p <= m, and all of those are inside the computed table.
+    p <= m, and all of those are inside the computed table.  ``tri``, when
+    given, must be ``trigraded_betti(H, p_max, j_max)``.
     """
-    tri = trigraded_betti(H, p_max, j_max, engine=engine)
+    if tri is None:
+        tri = trigraded_betti(H, p_max, j_max, engine=engine)
     coeffs: dict = {}
     for (p, i, j), v in tri.items():
         key = (p + i, j)
@@ -151,20 +153,23 @@ def check_low_degree_betti(R: QuotientRing, j_max: int,
 def check_quasi_formal(R: QuotientRing, m_max: int, j_max: int,
                        engine: str = "auto",
                        H: KoszulHomologyAlgebra | None = None,
-                       P_R: SeriesTrunc | None = None) -> Verdict:
+                       P_R: SeriesTrunc | None = None,
+                       P_H: SeriesTrunc | None = None) -> Verdict:
     """Quasi-formality of K, decided coefficientwise.
 
     Equality beta^K_{mj} = sum_{p+q=m} beta^H_{pqj} within the bound gives the
     bounded positive verdict; a strict deficit at one coefficient is an
     unconditional negative certificate.  An excess is impossible and raises.
-    ``P_R``, when given, must be ``ring_poincare(R, m_max, j_max)``.
+    ``P_R``, when given, must be ``ring_poincare(R, m_max, j_max)``, and
+    ``P_H``, when given, ``homology_poincare_sst(H, m_max, j_max)``.
     """
     if P_R is None:
         P_R = ring_poincare(R, m_max, j_max, engine=engine)
     P_K = poincare_K_from_R(P_R, R.n)
-    if H is None:
-        H = homology(R, R.n, j_max)
-    P_H = homology_poincare_sst(H, m_max, j_max, engine=engine)
+    if P_H is None:
+        if H is None:
+            H = homology(R, R.n, j_max)
+        P_H = homology_poincare_sst(H, m_max, j_max, engine=engine)
     bound = {"m_max": m_max, "j_max": j_max}
     for key in sorted(P_K.region & P_H.region, key=lambda k: (sum(k), k)):
         lhs = P_K.coeffs.get(key, 0)
@@ -187,12 +192,15 @@ def check_theorem_B(R: QuotientRing, p_max: int, j_max: int,
     is not represented; it is equivalent to the others by the theorem.
     """
     H = homology(R, R.n, j_max)
-    s1 = is_strand_koszul_up_to(H, p_max, j_max, trigraded=True, engine=engine)
+    # the trigraded Betti table of H is built once and read three times
+    tri = trigraded_betti(H, p_max, j_max, engine=engine)
+    s1 = is_strand_koszul_up_to(H, p_max, j_max, trigraded=True, engine=engine, tri=tri)
+    P_H = homology_poincare_sst(H, p_max, j_max, tri=tri)
     P_R = ring_poincare(R, p_max, j_max, engine=engine)
     P_K = poincare_K_from_R(P_R, R.n)
     koszul_K = all(p == q or v == 0 for (p, q), v in P_K.coeffs.items())
     koszul_R = all(p == q or v == 0 for (p, q), v in P_R.coeffs.items())
-    qf = check_quasi_formal(R, p_max, j_max, engine=engine, H=H, P_R=P_R)
+    qf = check_quasi_formal(R, p_max, j_max, engine=engine, P_R=P_R, P_H=P_H)
     statements = {
         "1_strand_koszul_H": s1.positive,
         "2_K_koszul_and_quasiformal": koszul_K and qf.positive,
@@ -206,7 +214,6 @@ def check_theorem_B(R: QuotientRing, p_max: int, j_max: int,
         return CheckReport("theorem-b", "LOGIC-FAILURE",
                            {"p_max": p_max, "j_max": j_max}, data=data)
     if values == {True}:
-        P_H = homology_poincare_sst(H, p_max, j_max, engine=engine)
         d1 = P_K.first_difference(P_H)
         prod = SeriesTrunc.binomial_power(R.n, P_H.region) * P_H
         d2 = prod.first_difference(P_R)

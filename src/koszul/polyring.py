@@ -245,6 +245,7 @@ class QuotientRing:
         self._gb_trusted = -1
         self._gb_run: GroebnerRun | None = None
         self._std: dict[int, tuple] = {}
+        self._standard: dict = {}  # monomial -> no leading monomial divides it
         self._mult_cache: dict = {}
 
     @property
@@ -305,6 +306,18 @@ class QuotientRing:
             result = tuple(found)
         self._std[d] = result
         return result
+
+    def is_standard(self, m: Monomial) -> bool:
+        """True iff no leading monomial of the Groebner basis divides m, cached.
+
+        The basis is completed to degree sum(m) first, and no element of higher
+        degree can divide m, so the answer never changes.
+        """
+        hit = self._standard.get(m)
+        if hit is None:
+            hit = self._standard[m] = not any(
+                mono_divides(lm, m) for lm in self.leading_monomials(sum(m)))
+        return hit
 
     def dim(self, d: int) -> int:
         return len(self.std_monomials(d))
@@ -412,6 +425,8 @@ def parse_polynomial(text: str, names, field: Field = QQ) -> dict:
                 den = int(take("num")[1])
                 if den == 0:
                     raise ParseError("zero denominator", at)
+                if field.p and den % field.p == 0:
+                    raise ParseError(f"denominator {den} vanishes in {field}", at)
                 return field.mul(field(num), field.inv(field(den))), (0,) * n
             return field(num), (0,) * n
         if kind == "name":

@@ -291,13 +291,11 @@ def _integer_columns(columns):
     scales = []
     for col in columns:
         denom = 1
-        for v in col.values():
-            f = Fraction(v)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
+        for v in col.values():  # an int or a Fraction
+            denom = denom * v.denominator // gcd(denom, v.denominator)
         icol = {}
         for k, v in col.items():
-            f = Fraction(v)
-            w = f.numerator * (denom // f.denominator)
+            w = v.numerator * (denom // v.denominator)
             if w:
                 icol[k] = w
         scaled.append(icol)

@@ -244,3 +244,26 @@ def test_negative_bounds_rejected_at_parse_time(tmp_path, capsys, argv):
     path = write_ring(tmp_path, RING_PATH3)
     assert main([path if a == "@" else a for a in argv]) == 2
     assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"field": "QQ", "variables": ["x", "y"], "relations": [3, "x^2"]},
+     "relation 0 must be a string"),
+    ({"field": {"Fp": 3}, "variables": ["x", "y"], "relations": ["x^2 - 1/3*y^2"]},
+     "in relation 'x^2 - 1/3*y^2': denominator 3 vanishes in GF(3)"),
+    ({"field": "QQ", "variables": "xy", "relations": ["x^2"]},
+     "'variables' must be a list of names"),
+    ({"field": "QQ", "variables": ["x", "x"], "relations": ["x^2"]},
+     "'variables' names 'x' twice"),
+    ({"field": "QQ", "variables": ["x"], "relations": "x^2"},
+     "'relations' must be a list of strings"),
+    ({"field": {"Fp": [7]}, "variables": ["x"], "relations": ["x^2"]},
+     "unrecognized field spec"),
+    (["x^2"], "ring document must be a JSON object"),
+])
+def test_malformed_ring_documents_exit_2(tmp_path, capsys, doc, named):
+    path = write_ring(tmp_path, doc)
+    assert main(["homology", path, "--max-int", "2"]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err and not captured.out

@@ -227,3 +227,41 @@ def test_spanning_property(words):
         survivors = [w for w in A.words_of_degree(d)
                      if system.is_reduced_word(w)]
         assert count == len(survivors)
+
+
+def _mixed_system():
+    # generators of degrees 1, 2, 1, 1; leading words of lengths 1 to 3
+    A = FreeAlgebra(["a", "b", "c", "d"], [1, 2, 1, 1], QQ)
+    rules = [{(3,): QQ(1)}, {(0, 2): QQ(1)}, {(1, 1): QQ(1)},
+             {(2, 1, 0): QQ(1), (0, 1, 2): QQ(-1)}, {(0, 0, 1): QQ(1)}]
+    return A, rules
+
+
+def test_reduced_words_match_filtered_words_mixed_degrees():
+    A, rules = _mixed_system()
+    system = ReductionSystem(A, rules)
+    assert sorted({len(lw) for lw in system.leading}) == [1, 2, 3]
+    for d in range(8):
+        expected = [w for w in A.words_of_degree(d) if system.is_reduced_word(w)]
+        assert system.reduced_words(d) == expected
+    assert system.reduced_words(-1) == []
+
+
+def test_reduced_words_cache_is_per_system_and_private():
+    A, rules = _mixed_system()
+    expected = {d: [w for w in A.words_of_degree(d)
+                    if ReductionSystem(A, rules).is_reduced_word(w)]
+                for d in range(8)}
+    system = ReductionSystem(A, rules)
+    other = ReductionSystem(A, rules[1:3])   # a different system, same algebra
+    for d in reversed(range(8)):             # deepest degree first
+        assert system.reduced_words(d) == expected[d]
+        assert other.reduced_words(d) == [w for w in A.words_of_degree(d)
+                                          if other.is_reduced_word(w)]
+    for d in range(8):                       # and again, now from the cache
+        assert system.reduced_words(d) == expected[d]
+    words = system.reduced_words(5)
+    words.append((0,))
+    words.reverse()
+    assert system.reduced_words(5) == expected[5]
+    assert system.reduced_words(6) == expected[6]

@@ -291,3 +291,57 @@ def test_product_out_of_bounds_raises():
     h = H.basis(1, 2)[0]
     with pytest.raises(ValueError):
         H.product_coords(h, h)  # (2, 4) lies beyond the computed j_max = 3
+
+
+def _triangle_with_tail():
+    # the multidegree (1, 1, 1, 0, 0) carries a 2-dimensional H_2 slice
+    return ring_from_strings(["a", "b", "c", "d", "e"],
+                             ["a*b", "a*c", "b*c", "c*d", "d*e"])
+
+
+SQUAREFREE_RINGS = pytest.mark.parametrize(
+    "make", [lambda: build_path_ring(7), lambda: build_cycle_ring(6), _triangle_with_tail],
+    ids=["path7", "cycle6", "triangle-tail"])
+
+
+@SQUAREFREE_RINGS
+def test_product_coords_independent_of_built_bases(make):
+    # offsets into basis(i, j) from rank-only slice dims must equal the
+    # positions the built bases give
+    ring = make()
+    n = ring.n
+    primed = homology(ring, n, n)
+    bidegrees = [(i, j) for j in range(1, n + 1) for i in range(1, j + 1)]
+    classes = [h for ij in bidegrees for h in primed.basis(*ij)]
+    fresh = homology(ring, n, n)
+    nonzero = 0
+    for h1 in classes:
+        for h2 in classes:
+            if h1.j + h2.j > n:
+                continue
+            lazy = fresh.product_coords(h1, h2)
+            assert list(lazy.items()) == list(primed.product_coords(h1, h2).items())
+            nonzero += bool(lazy)
+    assert nonzero >= 5
+    assert not fresh._bases
+
+
+@SQUAREFREE_RINGS
+def test_coords_of_cycle_builds_only_touched_slices(make):
+    ring = make()
+    n = ring.n
+    source = homology(ring, n, n)
+    spread = [ij for ij in source.dims()
+              if len({h.multidegree for h in source.basis(*ij)}) > 2]
+    assert len(spread) >= 2
+    for i, j in spread:
+        classes = source.basis(i, j)
+        H = homology(ring, n, n)
+        first, last = classes[0], classes[-1]
+        cycle = dict(first.representative)
+        cycle.update(last.representative)
+        assert H.coords_of_cycle(i, j, cycle) == {first.index: 1, last.index: 1}
+        assert set(H._slices) == {(i, first.multidegree), (i, last.multidegree)}
+        for h in classes:
+            assert H.coords_of_cycle(i, j, h.representative) == {h.index: 1}
+        assert set(H._slices) == {(i, h.multidegree) for h in classes}

@@ -113,6 +113,26 @@ def test_theorem_B_computes_P_R_once(ring_63ne, monkeypatch):
             == check_quasi_formal(ring_63ne, 5, 6).to_json())
 
 
+def test_theorem_B_builds_each_betti_table_once(ring_63ne, monkeypatch):
+    import koszul.betti as betti
+    import koszul.identities as identities
+    calls = []
+    original = betti.betti_table
+
+    def counted(A, *args, **kwargs):
+        # grades are (d,) on the data of R and (i, j) on the data of H
+        calls.append((len(next(iter(A.components))), args))
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(betti, "betti_table", counted)
+    monkeypatch.setattr(identities, "betti_table", counted)
+    report = check_theorem_B(ring_63ne, 7, 7)
+    assert sorted(calls) == [(1, (7, 7)), (2, (7, 7))]
+    assert report.passed
+    monkeypatch.undo()
+    assert report.to_json() == check_theorem_B(ring_63ne, 7, 7).to_json()
+
+
 def test_theorem_B_cubic(ring_x3):
     report = check_theorem_B(ring_x3, 4, 6)
     assert report.passed
