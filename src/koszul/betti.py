@@ -17,14 +17,11 @@ sit the bounded Koszulness verdicts and the Poincare-series plumbing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from math import gcd
 from operator import itemgetter, sub
 
 from .graded import GradedAlgebraData, add_grades
 from .series import SeriesTrunc, region_rect
-from .sparse import (FieldEchelon, IntEchelon, _integer_columns,
-                     rank_of_columns)
+from .sparse import IntEchelon, rank_of_columns
 
 
 def _zero_grade(A: GradedAlgebraData) -> tuple:
@@ -60,10 +57,6 @@ class BettiTable:
             if key is not None:
                 out[key] = out.get(key, 0) + v
         return out
-
-    def strand_table(self) -> dict:
-        """For bigraded grades (i, j): totals keyed by (p, j - i)."""
-        return self.collapse(lambda p, g: (p, g[1] - g[0]))
 
     def trigraded(self) -> dict:
         """Entries keyed (p, i, j); multigraded grades (i, *u) collapse by |u|."""
@@ -239,29 +232,28 @@ class ResolutionEngine:
     at G, and the dependencies among the images are Z_p(G), which the next
     step reads.  So each grade costs one elimination per step.
 
-    Arithmetic runs on plain ints.  Over the rationals, cycles are primitive
-    integer vectors, and an image column with a non-integral entry (from a
-    non-integral structure constant) is scaled to integers before it enters
-    the ``IntEchelon``.  Over GF(p), entries are residues in ``range(p)`` and
-    the ``FieldEchelon`` runs on its int path.
+    Arithmetic runs on plain ints, through one ``IntEchelon`` per grade and
+    step, for QQ and GF(p) alike.  Structure constants become ints where they
+    are integral (every residue is); an image column that keeps a
+    non-integral entry is scaled to integers as it enters the echelon.
+    Cycles are its relations: primitive integer vectors over QQ, residues
+    normalized to 1 at their own column over GF(p).
     """
 
     def __init__(self, A: GradedAlgebraData):
         self.A = A
         self.field = A.field
-        self.p = A.field.p
         self.zero = _zero_grade(A)
         self.gens: list = [[self.zero]]   # gens[p]: grades of the generators of F_p
         self._components = sorted(((A.weight(g), g) for g in A.components))
         self._products: dict = {}
         self._splits: dict = {}
 
-    def _plain(self, c):
-        if self.p:
-            return int(c) % self.p
-        if isinstance(c, Fraction) and c.denominator == 1:
-            return c.numerator
-        return c
+    @staticmethod
+    def _plain(c):
+        """A structure constant as a plain int where it is one (every GF(p)
+        residue and every integral rational), else as it is."""
+        return c.numerator if c.denominator == 1 else c
 
     def _product(self, g: tuple, a: int, g2: tuple, b: int) -> tuple:
         """A.mult with its structure constants made plain, once per product."""
@@ -285,9 +277,6 @@ class ResolutionEngine:
             for x, cx in self._product(g, a, g2, b):
                 key = (k2, g12, x)
                 out[key] = out.get(key, 0) + c * cx
-        if self.p:
-            p = self.p
-            return {key: r for key, v in out.items() if (r := v % p)}
         return {key: v for key, v in out.items() if v}
 
     def _split(self, G: tuple, w: int) -> list:
@@ -332,20 +321,6 @@ class ResolutionEngine:
                 out[add_grades(h, g)] = wh + wg
         return sorted((w, G) for G, w in out.items())
 
-    def _column(self, vec: dict, index: dict) -> tuple:
-        """A module element as an echelon column over ``index``, with the
-        factor it was scaled by to make it integral."""
-        col = {index[key]: c for key, c in vec.items()}
-        if self.p or all(type(c) is int for c in col.values()):
-            return col, 1
-        icols, scales = _integer_columns([col])
-        return icols[0], scales[0]
-
-    def _independent(self, ech, col: dict) -> bool:
-        if self.p:
-            return bool(ech.insert(col)[0])
-        return ech.insert(col) is None
-
     def extend(self, p_max: int, weight_max: int, total_bound: int | None = None):
         """Resolve to homological degree p_max and weight weight_max; with a
         total bound T, step p stops at weight T - p.
@@ -386,35 +361,22 @@ class ResolutionEngine:
                 keep = w <= reach(p + 1)
                 moved = self._module_basis(new_index, G, w)
                 # images of the moved basis, tracked for Z_p(G) when kept
-                if self.p:
-                    ech = FieldEchelon(self.field, track=keep)
-                else:
-                    ech = IntEchelon(track=keep)
+                ech = IntEchelon(self.field.p, track=keep)
                 at = {key: i for i, key in enumerate(basis_prev)}
                 relations = []
-                scales = []
                 for i, (k, g, a) in enumerate(moved):
-                    col, scale = self._column(self._act(g, a, maps[k]), at)
-                    scales.append(scale)
-                    if self.p:
-                        residual, combo = ech.insert(col, tag=i)
-                        if keep and not residual:
-                            rel = {t: -int(c) % self.p for t, c in combo.items()}
-                            rel[i] = 1
-                            relations.append(rel)
-                    else:
-                        combo = ech.insert(col, tag=i)
-                        if keep and combo is not None:
-                            rel = {t: c * scales[t] for t, c in combo.items()}
-                            div = gcd(*rel.values())
-                            relations.append({t: c // div for t, c in rel.items()})
+                    image = self._act(g, a, maps[k])
+                    relation = ech.insert({at[key]: c for key, c in image.items()},
+                                          tag=i)
+                    if keep and relation is not None:
+                        relations.append(relation)
                 # the span is inside Z_{p-1}(G): the rank gap counts new generators
                 missing = len(cyc) - ech.rank
                 ech.track = False   # cycles are only tested for independence
                 for z in cyc:
                     if not missing:
                         break
-                    if self._independent(ech, z):
+                    if ech.insert(z) is None:
                         new_index.setdefault(G, []).append(len(gens))
                         moved.append((len(gens), zero, 0))
                         gens.append(G)

@@ -51,6 +51,14 @@ def _field_spec_from_flag(text: str):
     raise UsageError(f'--field must be "QQ" or "F<p>", got {text!r}')
 
 
+def _check_names(names: list, label: str) -> None:
+    for k, name in enumerate(names):
+        if not name:
+            raise UsageError(f"{label} has an empty name at position {k}")
+        if name in names[:k]:
+            raise UsageError(f"{label} names {name!r} twice")
+
+
 def load_ring(path: str, field_override: str | None = None) -> tuple[QuotientRing, str]:
     """Parse a ring document; returns (ring, content digest)."""
     try:
@@ -74,9 +82,7 @@ def load_ring(path: str, field_override: str | None = None) -> tuple[QuotientRin
     names = doc["variables"]
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise UsageError(f"'variables' must be a list of names, got {names!r}")
-    for k, name in enumerate(names):
-        if name in names[:k]:
-            raise UsageError(f"'variables' names {name!r} twice")
+    _check_names(names, "'variables'")
     if not isinstance(doc["relations"], list):
         raise UsageError(f"'relations' must be a list of strings, "
                          f"got {doc['relations']!r}")
@@ -248,6 +254,7 @@ def _parse_inline_quadrics(args):
         raise UsageError("--family ci needs --quadrics")
     if names is None:
         raise UsageError("--family ci needs --variables")
+    _check_names(names, "--variables")
     field = field_from_spec(_field_spec_from_flag(args.field or "QQ"))
     quadrics = []
     for text in args.quadrics.split(","):
@@ -264,7 +271,10 @@ def cmd_family(args) -> int:
     tables: dict = {}
     if family == "ci":
         names, quadrics, field = _parse_inline_quadrics(args)
-        ring, cert = build_quadratic_ci(len(names), quadrics, field, names)
+        try:
+            ring, cert = build_quadratic_ci(len(names), quadrics, field, names)
+        except ValueError as exc:
+            raise UsageError(str(exc))
         digest = None
     elif family == "gorenstein":
         if not args.ring:

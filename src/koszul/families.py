@@ -22,7 +22,8 @@ from .freealg import (Certification, FreeAlgebra, NCPresentation,
 from .homology import KoszulHomologyAlgebra, differential, homology
 from .polyring import QuotientRing
 from .series import univariate_binomial, univariate_mul
-from .sparse import SparseMatrix, diagonalize_symmetric_form, symplectic_basis
+from .sparse import (SparseMatrix, diagonalize_symmetric_form, solve_in_image,
+                     symplectic_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +212,11 @@ def build_quadratic_ci(n: int, quadrics, field: Field = QQ, names=None):
     right size, and certifies strand-Koszulness by a quadratic rewriting
     system.  Returns (ring, FamilyCertificate).
     """
+    for k, quadric in enumerate(quadrics):
+        if {sum(mono) for mono, c in quadric.items() if c} != {2}:
+            raise ValueError(f"quadric {k + 1} is not a nonzero homogeneous quadric")
     ring = QuotientRing(n, quadrics, field, names)
     c = len(ring.relations)
-    if any(sum(next(iter(rel))) != 2 or len(set(map(sum, rel))) != 1
-           for rel in ring.relations):
-        raise ValueError("complete-intersection input needs quadrics")
     depth_check = 2 * c + 2
     expected = univariate_mul(
         univariate_binomial(c, 1, depth_check),
@@ -226,7 +227,8 @@ def build_quadratic_ci(n: int, quadrics, field: Field = QQ, names=None):
             raise ValueError(
                 f"not a regular sequence: Hilbert coefficient {a} != {b} "
                 f"in degree {d}")
-    H = homology(ring, n, 2 * c if c else 1)
+    # the square relation z1*z1 is evaluated at bidegree (2, 4), also for c = 1
+    H = homology(ring, n, max(2 * c, 4))
     field = ring.field
     # cycles sum(lambda_hij x_i t_j) for each quadric sum(lambda_hij X_i X_j)
     cycle_elements = []
@@ -497,23 +499,17 @@ def _check_duality_relations(H, field, zeta_vectors, eta_vectors, n, b, c,
 
 
 def _dense_inverse(M, field: Field):
+    """Inverse of a square matrix given as a list of rows, column by column."""
     m = len(M)
-    aug = [[field(M[r][s]) for s in range(m)]
-           + [field.one if r == s else field.zero for s in range(m)]
-           for r in range(m)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col]), None)
-        if pivot is None:
+    mat = SparseMatrix(m, m, {(r, s): M[r][s] for r in range(m) for s in range(m)},
+                       field)
+    columns = []
+    for s in range(m):
+        x = solve_in_image(mat, {s: field.one})
+        if x is None:
             raise ValueError("pairing matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [field.mul(inv, v) for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [field.sub(v, field.mul(factor, w))
-                          for v, w in zip(aug[r], aug[col])]
-    return [[aug[r][m + s] for s in range(m)] for r in range(m)]
+        columns.append(x)
+    return [[columns[s].get(r, field.zero) for s in range(m)] for r in range(m)]
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,6 @@ class Field:
         self.p = p
 
     @property
-    def is_rationals(self) -> bool:
-        return self.p == 0
-
-    @property
     def characteristic(self) -> int:
         return self.p
 
@@ -122,12 +118,6 @@ class Field:
     @property
     def one(self):
         return Fraction(1) if self.p == 0 else ModularInt(1, self.p)
-
-    def add(self, a, b):
-        return a + b if self.p == 0 else ModularInt(int(a) + int(b), self.p)
-
-    def sub(self, a, b):
-        return a - b if self.p == 0 else ModularInt(int(a) - int(b), self.p)
 
     def mul(self, a, b):
         return a * b if self.p == 0 else ModularInt(int(a) * int(b), self.p)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .fields import Field
 from .freealg import FreeAlgebra, NCPresentation
-from .sparse import FieldEchelon
+from .sparse import IntEchelon
 
 
 def add_grades(g1: tuple, g2: tuple) -> tuple:
@@ -123,18 +123,14 @@ def minimal_generators(A: GradedAlgebraData, d_max: int) -> dict:
         if not dim:
             out[d] = []
             continue
-        ech = FieldEchelon(A.field)
+        ech = IntEchelon(A.field.p)
         for d1 in range(1, d):
             g1, g2 = (d1,), (d - d1,)
             for a in range(A.dim(g1)):
                 for b in range(A.dim(g2)):
                     ech.insert(A.mult(g1, a, g2, b))
-        gens = []
-        for k in range(dim):
-            residual, _ = ech.insert({k: A.field.one})
-            if residual:
-                gens.append((g, {k: A.field.one}))
-        out[d] = gens
+        out[d] = [(g, {k: A.field.one}) for k in range(dim)
+                  if ech.insert({k: A.field.one}) is None]
     return out
 
 
@@ -171,16 +167,14 @@ def present(A: GradedAlgebraData, d_max: int, gen_names=None) -> NCPresentation:
                 grade = add_grades(grade, gg)
         return vec or {}
 
+    F = A.field
     relations = []
     for d in range(1, d_max + 1):
-        ech = FieldEchelon(A.field, track="origin")
+        ech = IntEchelon(F.p, track=True)
         for w in sorted(algebra.words_of_degree(d), key=algebra.deglex_key):
-            residual, combo = ech.insert(evaluate(w), tag=w)
-            if not residual:
+            relation = ech.insert(evaluate(w), tag=w)
+            if relation is not None:
                 # w evaluates into the span of smaller words: a monic relation
-                rel = {w: A.field.one}
-                for t, c in combo.items():
-                    if c:
-                        rel[t] = A.field.neg(c)
-                relations.append(rel)
+                inv = F.inv(F(relation[w]))
+                relations.append({t: F(c) * inv for t, c in relation.items()})
     return NCPresentation(algebra, list(range(len(gens))), relations)

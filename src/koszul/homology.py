@@ -109,7 +109,7 @@ class _Slice:
         self.basis = basis
         self.index = {b: k for k, b in enumerate(basis)}
         _, kernel = kernel_of_columns(d_in_columns, field)
-        self.ech = FieldEchelon(field, track="stored")
+        self.ech = FieldEchelon(field)
         for col in boundary_columns:
             self.ech.insert(col, tag=None)
         self.reps = []

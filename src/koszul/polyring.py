@@ -49,12 +49,6 @@ def poly_add(p: dict, q: dict) -> dict:
     return out
 
 
-def poly_scale(p: dict, c) -> dict:
-    if not c:
-        return {}
-    return {m: c * v for m, v in p.items()}
-
-
 def poly_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for m1, c1 in p.items():
@@ -458,7 +452,7 @@ def parse_polynomial(text: str, names, field: Field = QQ) -> dict:
     while True:
         coeff, mono = parse_term()
         coeff = field.mul(sign, coeff)
-        w = field.add(poly.get(mono, field.zero), coeff)
+        w = poly.get(mono, field.zero) + coeff
         if w:
             poly[mono] = w
         else:

@@ -1,19 +1,20 @@
 """Exact sparse linear algebra: ranks, kernels, membership, diagonalization.
 
-Vectors are dicts ``position -> coefficient`` with no stored zeros.  The rank
-and kernel engines insert columns one at a time into an online echelon whose
-stored columns each have their minimal position as pivot; reducing an incoming
-column is then a single ascending pass over its support.  Over the rationals
-the elimination runs on integer-scaled columns with gcd stripping, which keeps
-the inner loop in machine-int territory for the matrices that occur here
-(mostly +-1 entries).
+Vectors are dicts ``position -> coefficient`` with no stored zeros.  Every
+rank, kernel, membership and quotient-coordinate computation runs through one
+online echelon, ``IntEchelon``, parameterized by the modulus: columns are
+inserted one at a time, each stored column has its minimal position as pivot,
+and reducing an incoming column is a single ascending pass over its support.
+The loop runs on plain ints: over the rationals on integer-scaled columns with
+gcd stripping, which keeps it in machine-int territory for the matrices that
+occur here (mostly +-1 entries), over GF(p) on residues.  ``FieldEchelon``
+only adds the field-element view that quotient coordinates need.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .fields import QQ, Field
 
@@ -62,11 +63,6 @@ class SparseMatrix:
                 out[r] = out.get(r, self.field.zero) + v * xc
         return {r: v for r, v in out.items() if v}
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.ncols, self.nrows,
-            {(c, r): v for (r, c), v in self.entries.items()}, self.field)
-
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.entries == other.entries)
@@ -96,126 +92,65 @@ def _strip(vec: dict, combo: dict | None) -> None:
 
 
 class IntEchelon:
-    """Online integer column echelon, exact over the rationals.
+    """Online column echelon over plain ints, exact over QQ (``p == 0``) and
+    over GF(p).
 
-    Each stored column's minimal position is its pivot.  ``insert`` either
-    keeps the reduced column (independent; returns None) or returns the
-    integer combination of previously inserted tags that kills it.
+    Columns come in as dicts of field elements and are scaled to ints as they
+    enter: over QQ by the lcm of their denominators, over GF(p) to residues in
+    ``range(p)``.  A stored column is kept as its tail (the entries past its
+    pivot, its minimal position) and its pivot value: over QQ a primitive
+    integer vector with a positive pivot, over GF(p) residues with pivot 1.
+    Over GF(p) entries are reduced ``% p`` only when they are read.
+
+    A reduction keeps ``vec == sum(combo[t] * X_t)``, with ``combo`` seeded
+    by the scale of the column itself.  With ``track``, the X_t are the
+    inserted columns, each stored column carries its combo, and ``insert``
+    returns the relation that kills a dependent column.  ``FieldEchelon``
+    takes the stored columns, normalized to pivot 1, as its X_t instead.
     """
 
-    __slots__ = ("pivots", "track")
+    __slots__ = ("p", "pivots", "track")
 
-    def __init__(self, track: bool = False):
-        self.pivots: dict = {}  # pos -> (column dict, pivot value, combo dict or None)
+    def __init__(self, p: int = 0, track: bool = False):
+        self.p = p
+        self.pivots: dict = {}  # pos -> (tail dict, pivot value, combo dict or None)
         self.track = track
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def insert(self, col: dict, tag=None):
-        vec = dict(col)
-        combo = {tag: 1} if self.track else None
-        heap = list(vec)
-        heapq.heapify(heap)
-        dirty = 0
-        while heap:
-            pos = heapq.heappop(heap)
-            a = vec.get(pos)
-            if not a:
-                vec.pop(pos, None)
-                continue
-            hit = self.pivots.get(pos)
-            if hit is None:
-                # pos is the minimal surviving position: new pivot column
-                _strip(vec, combo)
-                if vec[pos] < 0:
-                    vec = {k: -v for k, v in vec.items()}
-                    if combo is not None:
-                        combo = {k: -v for k, v in combo.items()}
-                self.pivots[pos] = (vec, vec[pos], combo)
-                return None
-            cvec, p, ccombo = hit
-            del vec[pos]
-            if p != 1:
-                for k in vec:
-                    vec[k] *= p
-                if combo is not None:
-                    for k in combo:
-                        combo[k] *= p
-                dirty += 1
-            for k, v in cvec.items():
-                if k == pos:
-                    continue
-                if k in vec:
-                    w = vec[k] - a * v
-                    if w:
-                        vec[k] = w
-                    else:
-                        del vec[k]
-                else:
-                    vec[k] = -a * v
-                    heapq.heappush(heap, k)
-            if combo is not None and ccombo is not None:
-                for k, v in ccombo.items():
-                    w = combo.get(k, 0) - a * v
-                    if w:
-                        combo[k] = w
-                    else:
-                        combo.pop(k, None)
-            if dirty >= 8:
-                _strip(vec, combo)
-                dirty = 0
-        if vec:
-            raise AssertionError("echelon insertion left unprocessed entries")
-        return combo if self.track else {}
-
-
-class FieldEchelon:
-    """Online echelon over a Field with pivot-normalized columns.
-
-    With ``track="origin"`` a reduction's combo expresses the vector over the
-    originally inserted columns (dependency extraction).  With
-    ``track="stored"`` it is expressed over the stored, normalized pivot
-    columns instead, and columns inserted with ``tag=None`` are silently
-    modded out -- exactly what quotient-space coordinates need.
-
-    Over GF(p) the stored columns and combos are plain ints in ``range(p)``
-    and the inner loop reduces with ``% p`` only when it reads an entry; field
-    elements are made only for what is handed out (residuals, combos and
-    ``column``).  A stored column is kept as its tail, the entries past its
-    pivot; the pivot entry itself is 1.
-    """
-
-    __slots__ = ("field", "p", "pivots", "track")
-
-    def __init__(self, field: Field, track: str | bool = False):
-        self.field = field
-        self.p = field.p
-        self.pivots: dict = {}  # pos -> (tail dict, combo dict)
-        self.track = "origin" if track is True else track
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def column(self, pos) -> dict:
-        """The stored, normalized column whose pivot is ``pos``."""
-        F = self.field
-        return {pos: F.one} | {k: F(v) for k, v in self.pivots[pos][0].items()}
-
-    def _reduce(self, col: dict):
-        """Reduction in the internal representation; see ``reduce``."""
+    def _scaled(self, col: dict) -> tuple:
+        """``col`` as an int vector, and the factor it was scaled by."""
         p = self.p
         if p:
-            vec = {k: r for k, v in col.items() if (r := int(v) % p)}
+            return {k: r for k, v in col.items() if (r := int(v) % p)}, 1
+        for v in col.values():
+            if type(v) is not int:
+                break
         else:
-            vec = {k: v for k, v in col.items() if v}
-        combo: dict = {}
+            return dict(col), 1
+        denom = 1
+        for v in col.values():  # an int or a Fraction
+            if v.denominator != 1:
+                denom = lcm(denom, v.denominator)
+        return {k: v.numerator * (denom // v.denominator)
+                for k, v in col.items() if v}, denom
+
+    def _reduce(self, vec: dict, combo: dict | None, full: bool):
+        """Eliminate the stored pivots from ``vec`` in place, by ascending
+        position, updating ``combo`` along with it.
+
+        Stops at the first position without a pivot and returns it, or with
+        ``full`` reduces every pivot position away and returns the least
+        remaining position; None if nothing remains.
+        """
+        p = self.p
         pivots = self.pivots
-        track = self.track
         heap = list(vec)
         heapq.heapify(heap)
+        lead = None
+        dirty = 0
         # every position in vec has one heap entry: an entry is only added
         # past the popped position, and a cancelled one stays until popped
         while heap:
@@ -228,9 +163,20 @@ class FieldEchelon:
             if hit is None:
                 # no pivot here: the entry is final
                 vec[pos] = a
+                if not full:
+                    return pos
+                if lead is None:
+                    lead = pos
                 continue
-            tail, ccombo = hit
+            tail, pv, ccombo = hit
             del vec[pos]
+            if pv != 1:
+                for k in vec:
+                    vec[k] *= pv
+                if combo is not None:
+                    for k in combo:
+                        combo[k] *= pv
+                dirty += 1
             for k, v in tail.items():
                 w = vec.get(k)
                 if w is None:
@@ -238,25 +184,104 @@ class FieldEchelon:
                     heapq.heappush(heap, k)
                 else:
                     vec[k] = w - a * v
-            if track:
+            if combo is not None:
                 for k, v in ccombo.items():
-                    combo[k] = combo.get(k, 0) + a * v
-        if p:
-            combo = {k: r for k, v in combo.items() if (r := v % p)}
-        else:
-            combo = {k: v for k, v in combo.items() if v}
-        return vec, combo
+                    combo[k] = combo.get(k, 0) - a * v
+            if dirty >= 8:
+                _strip(vec, combo)
+                dirty = 0
+        return lead
 
-    def _export(self, vec: dict) -> dict:
-        if not self.p:
-            return vec
+    def _normalize(self, pos, vec: dict, combo: dict | None) -> tuple:
+        """A reduced vector led by ``pos`` (and its combo) as a stored column:
+        ``(tail, pivot value, combo)``."""
+        p = self.p
+        if p:
+            inv = pow(vec.pop(pos), -1, p)
+            tail = {k: r for k, v in vec.items() if (r := v * inv % p)}
+            if combo is not None:
+                combo = {k: r for k, v in combo.items() if (r := v * inv % p)}
+            return tail, 1, combo
+        _strip(vec, combo)
+        pv = vec.pop(pos)
+        if pv < 0:
+            pv = -pv
+            vec = {k: -v for k, v in vec.items()}
+            if combo is not None:
+                combo = {k: -v for k, v in combo.items()}
+        return vec, pv, combo
+
+    def insert(self, col: dict, tag=None):
+        """Store ``col`` if it is independent of the stored columns and
+        return None; otherwise return the relation that kills it.
+
+        With ``track`` the relation is ``{tag: c} | {t: c_t}`` with
+        ``c * col + sum(c_t * col_t) == 0`` over the earlier columns: primitive
+        integers with ``c > 0`` over QQ, residues with ``c == 1`` over GF(p).
+        Untracked, a dependent column returns ``{}``.
+        """
+        vec, scale = self._scaled(col)
+        combo = {tag: scale} if self.track else None
+        pos = self._reduce(vec, combo, False)
+        if pos is not None:
+            self.pivots[pos] = self._normalize(pos, vec, combo)
+            return None
+        if combo is None:
+            return {}
+        if self.p:
+            return {t: r for t, c in combo.items() if (r := c % self.p)}
+        g = gcd(*combo.values())
+        return {t: c // g for t, c in combo.items() if c}
+
+
+_COL = object()  # combo key of the reduced column's own scale
+
+
+class FieldEchelon(IntEchelon):
+    """Quotient-space coordinates over a Field, on the ``IntEchelon`` loop.
+
+    Reductions are full: the residual is zero at every pivot.  Combos are
+    coordinates over the stored columns normalized to pivot 1 (``column``);
+    columns inserted with ``tag=None`` take no coordinate, so they are
+    modded out.  Residuals, combos and columns are handed out as field
+    elements.
+    """
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: Field):
+        super().__init__(field.p)
+        self.field = field
+
+    def column(self, pos) -> dict:
+        """The stored, normalized column whose pivot is ``pos``."""
+        tail, pv, _ = self.pivots[pos]
+        return {pos: self.field.one} | self._export(tail, pv)
+
+    def _export(self, vec: dict, scale: int) -> dict:
+        """``vec / scale`` as field elements, zeros dropped."""
         F = self.field
-        return {k: F(v) for k, v in vec.items()}
+        if scale == 1:
+            return {k: x for k, v in vec.items() if (x := F(v))}
+        inv = F.inv(F(scale))
+        return {k: x for k, v in vec.items() if (x := F(v) * inv)}
+
+    def _reduced(self, col: dict) -> tuple:
+        """Full reduction of ``col``: ``(lead, vec, combo)``; ``combo[_COL]``
+        is the scale of ``col`` in ``vec``."""
+        vec, scale = self._scaled(col)
+        combo = {_COL: scale}
+        return self._reduce(vec, combo, True), vec, combo
+
+    def _coordinates(self, vec: dict, combo: dict) -> tuple:
+        scale = combo.pop(_COL)
+        return (self._export(vec, scale),
+                self._export({t: -c for t, c in combo.items()}, scale))
 
     def reduce(self, col: dict):
         """Return ``(residual, combo)`` with residual = col - sum(combo[t] * column_t)."""
-        vec, combo = self._reduce(col)
-        return self._export(vec), self._export(combo)
+        _, vec, combo = self._reduced(col)
+        return self._coordinates(vec, combo)
 
     def insert(self, col: dict, tag=None):
         """Reduce and, if independent, store the normalized residual.
@@ -264,55 +289,18 @@ class FieldEchelon:
         Returns ``(residual, combo)`` from the reduction; the residual is empty
         exactly when col was dependent on the stored columns.
         """
-        p = self.p
-        vec, combo = self._reduce(col)
-        if vec:
-            pos = min(vec)
-            if p:
-                inv = pow(vec[pos], -1, p)
-                tail = {k: v * inv % p for k, v in vec.items() if k != pos}
-            else:
-                inv = self.field.inv(vec[pos])
-                tail = {k: v * inv for k, v in vec.items() if k != pos}
-            base = {}
-            if self.track == "origin":
-                base[tag] = inv
-                for k, v in combo.items():
-                    base[k] = (-inv * v) % p if p else -inv * v
-            elif self.track == "stored" and tag is not None:
-                base[tag] = 1
-            self.pivots[pos] = (tail, base)
-        return self._export(vec), self._export(combo)
-
-
-def _integer_columns(columns):
-    """Scale rational columns to integer columns; returns (int columns, scales)."""
-    scaled = []
-    scales = []
-    for col in columns:
-        denom = 1
-        for v in col.values():  # an int or a Fraction
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        icol = {}
-        for k, v in col.items():
-            w = v.numerator * (denom // v.denominator)
-            if w:
-                icol[k] = w
-        scaled.append(icol)
-        scales.append(denom)
-    return scaled, scales
+        lead, vec, combo = self._reduced(col)
+        out = self._coordinates(vec, combo)
+        if lead is not None:
+            tail, pv, _ = self._normalize(lead, vec, None)
+            self.pivots[lead] = (tail, pv, {} if tag is None else {tag: pv})
+        return out
 
 
 def rank_of_columns(columns, field: Field = QQ) -> int:
     """Rank of the matrix whose columns are the given sparse vectors."""
-    if field.p != 0:
-        ech = FieldEchelon(field)
-        for col in columns:
-            ech.insert(col)
-        return ech.rank
-    ech = IntEchelon()
-    icols, _ = _integer_columns(columns)
-    for col in icols:
+    ech = IntEchelon(field.p)
+    for col in columns:
         ech.insert(col)
     return ech.rank
 
@@ -323,31 +311,17 @@ def kernel_of_columns(columns, field: Field = QQ):
     Kernel vectors are dicts ``col_index -> field element``, normalized so the
     lowest-index entry is 1; they appear in insertion (column) order.
     """
-    columns = list(columns)
+    ech = IntEchelon(field.p, track=True)
     kernel = []
-    if field.p != 0:
-        ech = FieldEchelon(field, track=True)
-        for j, col in enumerate(columns):
-            vec, combo = ech.insert(col, tag=j)
-            if not vec:
-                combo[j] = field.one
-                kernel.append(_normalize_kernel({k: field.neg(v) for k, v in combo.items()}
-                                                | {j: field.one}, field))
-        return ech.rank, kernel
-    ech = IntEchelon(track=True)
-    icols, scales = _integer_columns(columns)
-    for j, col in enumerate(icols):
-        combo = ech.insert(col, tag=j)
-        if combo is not None:
-            vec = {k: Fraction(v) * scales[k] for k, v in combo.items() if v}
-            kernel.append(_normalize_kernel(vec, field))
+    for j, col in enumerate(columns):
+        relation = ech.insert(col, tag=j)
+        if relation is not None:
+            kernel.append(_normalize_kernel(relation, field))
     return ech.rank, kernel
 
 
 def _normalize_kernel(vec: dict, field: Field) -> dict:
-    vec = {k: v for k, v in vec.items() if v}
-    lead = min(vec)
-    inv = field.inv(field(vec[lead]))
+    inv = field.inv(field(vec[min(vec)]))
     return {k: field.mul(inv, field(v)) for k, v in sorted(vec.items())}
 
 
@@ -366,32 +340,16 @@ def solve_in_image(m: SparseMatrix, b) -> dict | None:
     else:
         if any(not 0 <= k < m.nrows for k in b):
             raise ValueError("vector index out of range")
-        b = {k: v for k, v in b.items() if v}
     field = m.field
-    columns = m.columns()
-    if field.p != 0:
-        ech = FieldEchelon(field, track=True)
-        for j, col in enumerate(columns):
-            ech.insert(col, tag=j)
-        vec, combo = ech.reduce({k: field(v) for k, v in b.items()})
-        if vec:
-            return None
-        return {k: v for k, v in combo.items() if v}
-    ech = IntEchelon(track=True)
-    icols, scales = _integer_columns(columns)
-    for j, col in enumerate(icols):
+    ech = IntEchelon(field.p, track=True)
+    for j, col in enumerate(m.columns()):
         ech.insert(col, tag=j)
-    bi, bscales = _integer_columns([{k: field(v) for k, v in b.items()}])
-    combo = ech.insert(bi[0], tag="b")
-    if combo is None:
+    relation = ech.insert({k: field(v) for k, v in b.items()}, tag="b")
+    if relation is None:
         return None
-    cb = combo.pop("b")
-    # combo says: sum(combo[j] * scales[j] * col_j) + cb * bscale * b == 0
-    x = {}
-    for j, v in combo.items():
-        if v:
-            x[j] = Fraction(-v * scales[j], cb * bscales[0])
-    return x
+    # relation: c_b * b + sum(c_j * col_j) == 0
+    inv = field.inv(field(-relation.pop("b")))
+    return {j: field.mul(inv, field(c)) for j, c in relation.items()}
 
 
 def diagonalize_symmetric_form(g: SparseMatrix) -> SparseMatrix:

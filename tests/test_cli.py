@@ -260,10 +260,27 @@ def test_negative_bounds_rejected_at_parse_time(tmp_path, capsys, argv):
     ({"field": {"Fp": [7]}, "variables": ["x"], "relations": ["x^2"]},
      "unrecognized field spec"),
     (["x^2"], "ring document must be a JSON object"),
+    ({"field": "QQ", "variables": ["x", ""], "relations": ["x^2"]},
+     "'variables' has an empty name at position 1"),
 ])
 def test_malformed_ring_documents_exit_2(tmp_path, capsys, doc, named):
     path = write_ring(tmp_path, doc)
     assert main(["homology", path, "--max-int", "2"]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("variables, quadrics, named", [
+    ("x,y", "x^2,x^2", "not a regular sequence"),
+    ("x,y", "x^2,x*y+y", "quadric 2 is not a nonzero homogeneous quadric"),
+    ("x,y", "x^3,y^2", "quadric 1 is not a nonzero homogeneous quadric"),
+    ("x,,y", "x^2,y^2", "--variables has an empty name at position 1"),
+    ("x,x,y", "x^2,y^2", "--variables names 'x' twice"),
+])
+def test_family_ci_rejects_bad_input(capsys, variables, quadrics, named):
+    assert main(["family", "--family", "ci", "--variables", variables,
+                 "--quadrics", quadrics]) == 2
     captured = capsys.readouterr()
     assert named in captured.err
     assert "Traceback" not in captured.err and not captured.out

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from koszul import QQ, Field, QuotientRing, parse_polynomial
 from koszul.betti import is_strand_koszul_up_to
-from koszul.families import (PathDecomposition, boocher_dim, build_cycle_ring,
+from koszul.families import (PathDecomposition, _dense_inverse, boocher_dim,
+                             build_cycle_ring,
                              build_path_ring, build_quadratic_ci,
                              complete_decomposition, path_certify,
                              short_gorenstein_certify, three_relation_certify)
@@ -78,6 +79,12 @@ def test_build_quadratic_ci_examples():
     ring3, cert3 = build_quadratic_ci(
         3, [parse_polynomial(s, ["x", "y", "z"]) for s in ["x^2", "y^2", "z^2"]])
     assert cert3.verdict.status == "STRAND-KOSZUL"
+    # a single quadric that is not a squarefree monomial: its square relation
+    # z1*z1 lives at bidegree (2, 4), past 2c
+    for names, quadric in ((["x", "y"], "x^2"), (["x", "y"], "x^2 + y^2"),
+                           (["x", "y", "z"], "x*y + z^2")):
+        _, cert1 = build_quadratic_ci(len(names), [parse_polynomial(quadric, names)])
+        assert cert1.verdict.status == "STRAND-KOSZUL", quadric
 
 
 def test_build_quadratic_ci_nondiagonal():
@@ -96,6 +103,15 @@ GOR3 = (["x", "y", "z"], ["x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"])
 GOR4 = (["x", "y", "z", "w"],
         ["x*y", "x*z", "x*w", "y*z", "y*w", "z*w",
          "x^2 - y^2", "x^2 - z^2", "x^2 - w^2"])
+
+
+def test_dense_inverse_and_singular_pairing():
+    for field in (QQ, Field(7)):
+        M = [[field(2), field(1)], [field(1), field(1)]]
+        inv = _dense_inverse(M, field)
+        assert inv == [[field(1), field(-1)], [field(-1), field(2)]]
+        with pytest.raises(ValueError, match="pairing matrix is singular"):
+            _dense_inverse([[field(1), field(2)], [field(2), field(4)]], field)
 
 
 def test_short_gorenstein_n2():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszul import QQ, Field
@@ -174,17 +174,22 @@ def test_rank_nullity_matches_dense_oracle(data):
         assert all(v == 0 for v in combined.values())
 
 
+def _prime_columns(cols, p):
+    """The columns read over GF(p); entries whose denominator vanishes are dropped."""
+    field = Field(p)
+    fcols = [{r: field(v) for r, v in col.items() if v.denominator % p}
+             for col in cols]
+    return [{r: v for r, v in col.items() if v} for col in fcols]
+
+
 @settings(max_examples=60, deadline=None)
 @given(sparse_columns(), st.sampled_from([2, 5, 13]))
 def test_rank_nullity_prime_fields(data, p):
     nrows, cols = data
     field = Field(p)
-    fcols = [{r: field(v.numerator) * pow(v.denominator, -1, p) % p
-              for r, v in col.items()
-              if v.denominator % p and v.numerator % p}
-             for col in cols]
-    fcols = [{r: v for r, v in col.items() if v} for col in fcols]
+    fcols = _prime_columns(cols, p)
     rank, kernel = kernel_of_columns(fcols, field)
+    assert rank == dense_rank_kernel(fcols, nrows, p)[0]
     assert rank + len(kernel) == len(fcols)
     for vec in kernel:
         combined = {}
@@ -195,14 +200,17 @@ def test_rank_nullity_prime_fields(data, p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(sparse_columns())
-def test_solve_in_image_by_substitution(data):
+@given(sparse_columns(), st.sampled_from([0, 2, 5, 13]))
+def test_solve_in_image_by_substitution(data, p):
     nrows, cols = data
+    field = Field(p)
+    if p:
+        cols = _prime_columns(cols, p)
     m = SparseMatrix(nrows, len(cols),
                      {(r, j): v for j, col in enumerate(cols)
-                      for r, v in col.items()})
+                      for r, v in col.items()}, field)
     # a vector certainly in the image
-    x0 = {j: Fraction(j + 1) for j in range(len(cols))}
+    x0 = {j: field(j + 1) for j in range(len(cols))}
     b = m.mul_vec(x0)
     x = solve_in_image(m, b)
     assert x is not None
@@ -210,7 +218,7 @@ def test_solve_in_image_by_substitution(data):
 
 
 def test_field_echelon_stored_coordinates():
-    ech = FieldEchelon(QQ, track="stored")
+    ech = FieldEchelon(QQ)
     ech.insert({0: QQ(1), 1: QQ(1)}, tag=None)          # modded out
     ech.insert({1: QQ(1), 2: QQ(2)}, tag="a")
     residual, combo = ech.reduce({0: QQ(1), 2: QQ(4)})
@@ -218,6 +226,46 @@ def test_field_echelon_stored_coordinates():
     assert all(pos not in ech.pivots for pos in residual)
     z, combo = ech.reduce({1: QQ(2), 2: QQ(4)})
     assert not z and combo == {"a": QQ(2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0, 2, 5, 13]), sparse_columns(), sparse_columns(),
+       sparse_columns())
+# a probe with an entry below a later pivot; a stored pivot value 2 over QQ
+@example(0, (2, [{1: Fraction(1)}]), (0, []), (2, [{0: Fraction(1), 1: Fraction(1)}]))
+@example(0, (0, []), (2, [{0: Fraction(2), 1: Fraction(1)}]), (1, [{0: Fraction(1)}]))
+def test_field_echelon_coordinates_property(p, boundary, tagged, probes):
+    """Columns inserted under tag None are modded out, stored columns have
+    pivot 1, a residual vanishes at every pivot, and
+    col == residual + sum(combo[t] * column(t)) modulo the tag-None columns."""
+    field = Field(p)
+    convert = (lambda cols: _prime_columns(cols, p)) if p else list
+    boundary, tagged, probes = (convert(cols) for _, cols in (boundary, tagged, probes))
+    nrows = 1 + max((r for col in boundary + tagged + probes for r in col), default=0)
+    ech = FieldEchelon(field)
+    for col in boundary:
+        ech.insert(col, tag=None)
+    for t, col in enumerate(tagged):
+        ech.insert(col, tag=t)
+    columns = {}   # tag -> stored column
+    for pos, (_, _, stored) in ech.pivots.items():
+        column = ech.column(pos)
+        assert min(column) == pos and column[pos] == field.one
+        columns.update((t, column) for t in stored)
+    for col in boundary:
+        assert ech.reduce(col) == ({}, {})
+    boundary_rank = dense_rank_kernel(boundary, nrows, p)[0]
+    for col in tagged + probes:
+        residual, combo = ech.reduce(col)
+        assert not any(pos in ech.pivots for pos in residual)
+        diff = {r: field(v) for r, v in col.items()}
+        for r, v in residual.items():
+            diff[r] = diff.get(r, field.zero) - v
+        for t, c in combo.items():
+            for r, v in columns[t].items():
+                diff[r] = diff.get(r, field.zero) - c * v
+        diff = {r: v for r, v in diff.items() if v}
+        assert dense_rank_kernel(boundary + [diff], nrows, p)[0] == boundary_rank
 
 
 @st.composite
