@@ -26,8 +26,9 @@ import sys
 import time
 
 from .betti import is_koszul_up_to, is_strand_koszul_up_to
-from .families import (build_cycle_ring, build_quadratic_ci, path_certify,
-                       short_gorenstein_certify, three_relation_certify)
+from .families import (InputError, build_cycle_ring, build_quadratic_ci,
+                       path_certify, short_gorenstein_certify,
+                       three_relation_certify)
 from .fields import field_from_spec
 from .graded import ring_algebra_data
 from .homology import homology
@@ -255,7 +256,10 @@ def _parse_inline_quadrics(args):
     if names is None:
         raise UsageError("--family ci needs --variables")
     _check_names(names, "--variables")
-    field = field_from_spec(_field_spec_from_flag(args.field or "QQ"))
+    try:
+        field = field_from_spec(_field_spec_from_flag(args.field or "QQ"))
+    except ValueError as exc:
+        raise UsageError(f"--field: {exc}")
     quadrics = []
     for text in args.quadrics.split(","):
         try:
@@ -265,33 +269,33 @@ def _parse_inline_quadrics(args):
     return names, quadrics, field
 
 
+def _certify(certifier, *args):
+    """Run a family certifier; an input outside its family is a usage error,
+    while any other failure reaches ``main`` as an inconsistency."""
+    try:
+        return certifier(*args)
+    except InputError as exc:
+        raise UsageError(str(exc))
+
+
 def cmd_family(args) -> int:
     started = time.perf_counter()
     family = args.family
     tables: dict = {}
     if family == "ci":
         names, quadrics, field = _parse_inline_quadrics(args)
-        try:
-            ring, cert = build_quadratic_ci(len(names), quadrics, field, names)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        ring, cert = _certify(build_quadratic_ci, len(names), quadrics, field, names)
         digest = None
     elif family == "gorenstein":
         if not args.ring:
             raise UsageError("--family gorenstein needs a ring file")
         ring, digest = load_ring(args.ring)
-        try:
-            _, cert = short_gorenstein_certify(ring)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        _, cert = _certify(short_gorenstein_certify, ring)
     elif family == "three-rel":
         if not args.ring:
             raise UsageError("--family three-rel needs a ring file")
         ring, digest = load_ring(args.ring)
-        try:
-            _, cert = three_relation_certify(ring)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        _, cert = _certify(three_relation_certify, ring)
     elif family == "path":
         if args.n is None or args.n < 3:
             raise UsageError("--family path needs -n >= 3")

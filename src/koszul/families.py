@@ -26,6 +26,10 @@ from .sparse import (SparseMatrix, diagonalize_symmetric_form, solve_in_image,
                      symplectic_basis)
 
 
+class InputError(ValueError):
+    """A certifier's input is outside its family; other errors are failures."""
+
+
 # ---------------------------------------------------------------------------
 # multidegree combinatorics for edge ideals of paths
 
@@ -214,7 +218,7 @@ def build_quadratic_ci(n: int, quadrics, field: Field = QQ, names=None):
     """
     for k, quadric in enumerate(quadrics):
         if {sum(mono) for mono, c in quadric.items() if c} != {2}:
-            raise ValueError(f"quadric {k + 1} is not a nonzero homogeneous quadric")
+            raise InputError(f"quadric {k + 1} is not a nonzero homogeneous quadric")
     ring = QuotientRing(n, quadrics, field, names)
     c = len(ring.relations)
     depth_check = 2 * c + 2
@@ -224,7 +228,7 @@ def build_quadratic_ci(n: int, quadrics, field: Field = QQ, names=None):
     actual = ring.hilbert_coeffs(depth_check)
     for d, (a, b) in enumerate(zip(actual, expected)):
         if a != b:
-            raise ValueError(
+            raise InputError(
                 f"not a regular sequence: Hilbert coefficient {a} != {b} "
                 f"in degree {d}")
     # the square relation z1*z1 is evaluated at bidegree (2, 4), also for c = 1
@@ -304,21 +308,21 @@ def short_gorenstein_certify(R: QuotientRing):
     n = R.n
     field = R.field
     if field.characteristic == 2 and n % 2 == 0:
-        raise ValueError("characteristic 2 needs odd embedding dimension")
+        raise InputError("characteristic 2 needs odd embedding dimension")
     hilbert = R.hilbert_coeffs(3)
     if hilbert != [1, n, 1, 0]:
-        raise ValueError(f"not a short Gorenstein ring: Hilbert {hilbert}")
+        raise InputError(f"not a short Gorenstein ring: Hilbert {hilbert}")
     H = homology(R, n, n + 2)
     dims = H.dims()
     if dims.get((n, n + 2), 0) != 1:
-        raise ValueError("socle homology is not one-dimensional")
+        raise InputError("socle homology is not one-dimensional")
     for (i, j), d in dims.items():
         expected = (i, j) in ((0, 0), (n, n + 2)) or j == i + 1
         if d and not expected:
-            raise ValueError(f"unexpected homology at bidegree {(i, j)}")
+            raise InputError(f"unexpected homology at bidegree {(i, j)}")
     b = {i: dims.get((i, i + 1), 0) for i in range(1, n)}
     if any(b[i] != b[n - i] for i in range(1, n)):
-        raise ValueError("Betti row is not symmetric")
+        raise InputError("Betti row is not symmetric")
     sigma = H.basis(n, n + 2)[0]
 
     def pair_scalar(vec1, i1, vec2, i2):
@@ -385,7 +389,7 @@ def short_gorenstein_certify(R: QuotientRing):
                          if (r, m) in P.entries}
                     d = pair_scalar(v, i, v, i)
                     if not d:
-                        raise ValueError("degenerate middle pairing")
+                        raise InputError("degenerate middle pairing")
                     zetas.append(v)
                     scalings.append(d)
                 zeta_vectors[i] = zetas
@@ -535,10 +539,10 @@ def three_relation_certify(R: QuotientRing):
     field = R.field
     n = R.n
     if len(R.relations) != 3:
-        raise ValueError("need exactly three defining relations")
+        raise InputError("need exactly three defining relations")
     H = homology(R, n, 6)
     if H.dim(1, 2) != 3:
-        raise ValueError("relations are not three independent quadrics")
+        raise InputError("relations are not three independent quadrics")
     table = {}
     for (i, j), d in H.dims().items():
         if (i, j) != (0, 0) and d:
@@ -546,7 +550,7 @@ def three_relation_certify(R: QuotientRing):
     table_id = next((name for name, t in THREE_RELATION_TABLES.items()
                      if t == table), None)
     if table_id is None:
-        raise ValueError(f"Betti table {sorted(table.items())} matches none of "
+        raise InputError(f"Betti table {sorted(table.items())} matches none of "
                          "the four classified shapes")
 
     if table_id in ("top-left", "top-right"):

@@ -147,13 +147,12 @@ QQ = Field(0)
 
 
 def field_from_spec(spec) -> Field:
-    """Build a field from the document form ``"QQ"`` or ``{"Fp": p}``."""
+    """Build a field from the document form ``"QQ"`` or ``{"Fp": p}``, where
+    p is an integer (not a bool, a float or a string)."""
     if spec == "QQ":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
-        try:
-            order = int(spec["Fp"])
-        except (TypeError, ValueError):
-            raise ValueError(f"unrecognized field spec: {spec!r}") from None
-        return Field(order)
+        order = spec["Fp"]
+        if type(order) is int:
+            return Field(order)
     raise ValueError(f"unrecognized field spec: {spec!r}")

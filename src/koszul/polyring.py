@@ -1,19 +1,37 @@
-"""Multivariate polynomials, Buchberger bases, and graded quotient rings.
+"""Multivariate polynomials and graded quotient rings, one degree at a time.
 
 Monomials are exponent tuples, polynomials are dicts ``monomial -> nonzero
-coefficient``.  The monomial order everywhere is graded reverse lexicographic
-with ``x1 > x2 > ... > xn``.  Groebner bases may be truncated by degree; a
-quotient ring keeps its Buchberger run and resumes it when a deeper degree is
-requested.
+coefficient``; the monomial order is grevlex with ``x1 > x2 > ... > xn``.
+
+For a monomial ideal J, a monomial is standard iff no relation divides it,
+and a normal form drops the other terms.  Otherwise R = k[x]/J is built by
+linear algebra in each degree d (Lazard 1983; the Macaulay matrices of F4).
+Degree d keeps one echelon over W_d = span{x_j s : s standard of degree d-1},
+positions in descending grevlex order, so pivots are leading monomials.  A
+degree-d monomial M maps into W_d by phi(M) = M if M is in W_d, else
+x_j NF(M/x_j) for the first variable x_j dividing M; phi(M) - M lies in J.
+The echelon holds phi(x_j e) for every stored column e of degree d-1 and
+every j, and phi(g) for the relations g of degree d.  They span J_d ∩ W_d:
+for x_j, x_k dividing M and P = M/(x_j x_k), two cofactors differ by
+
+    x_j NF(x_k P) - x_k NF(x_j P) = x_k e2 - x_j e1,  where
+    e1 = x_k NF(P) - NF(x_k P) and e2 = x_j NF(P) - NF(x_j P) lie in J_{d-1} ∩ W_{d-1},
+
+so modulo the rows phi(x_j a) = x_j NF(a) = 0 for every a in J_{d-1}, and
+J_d is spanned by x_j J_{d-1} and the relations.  A monomial outside W_d has
+no standard cofactor, so the standard monomials are the non-pivot positions;
+NF(M) is phi(M) reduced by the echelon, memoized per monomial; and the
+reduced Groebner basis is M - NF(M) for the pivots M whose cofactors M/x_i
+are all standard.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from math import inf
 
 from .fields import QQ, Field
+from .sparse import FieldEchelon
 
 Monomial = tuple
 
@@ -30,23 +48,13 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def poly_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for m, c in q.items():
-        w = out.get(m, 0) + c
-        if w:
-            out[m] = w
-        else:
-            out.pop(m, None)
-    return out
+def _shift(m: Monomial, k: int, step: int) -> Monomial:
+    """m times x_k (step 1) or divided by x_k (step -1)."""
+    return m[:k] + (m[k] + step,) + m[k + 1:]
 
 
 def poly_mul(p: dict, q: dict) -> dict:
@@ -77,142 +85,52 @@ def poly_degree(p: dict) -> int:
     return sum(next(iter(p)))
 
 
-def normal_form(p: dict, basis: list[dict], field: Field) -> dict:
-    """Full normal form of p against monic reducers (heads and tails reduced)."""
-    lead = [(leading_monomial(g), g) for g in basis]
-    work = {m: field(c) for m, c in p.items() if c}
+def normal_form(p: dict, monomial_nf, field: Field) -> dict:
+    """The sum of ``c * monomial_nf(m)`` over the terms of p."""
     out: dict = {}
-    while work:
-        m = max(work, key=grevlex_key)
-        c = work.pop(m)
-        for lm, g in lead:
-            if mono_divides(lm, m):
-                shift = mono_div(m, lm)
-                for m2, c2 in g.items():
-                    if m2 == lm:
-                        continue
-                    m3 = mono_mul(m2, shift)
-                    w = work.get(m3, field.zero) - c * c2
-                    if w:
-                        work[m3] = w
-                    else:
-                        work.pop(m3, None)
-                break
-        else:
-            out[m] = c
+    for m, c in p.items():
+        for m2, c2 in monomial_nf(m).items():
+            w = out.get(m2, field.zero) + c * c2
+            if w:
+                out[m2] = w
+            else:
+                out.pop(m2, None)
     return out
 
 
-def _monic(p: dict, field: Field) -> dict:
-    inv = field.inv(p[leading_monomial(p)])
-    return {m: field.mul(inv, c) for m, c in p.items()}
+def groebner_basis(relations, field: Field, degree_bound=None):
+    """Reduced grevlex Groebner basis of a homogeneous ideal, monic and
+    sorted by leading monomial: its elements of degree <= ``degree_bound``,
+    or all of it.  Returns (basis, trusted_degree).
 
-
-class GroebnerRun:
-    """Buchberger's algorithm on one ideal, resumable at higher degree bounds.
-
-    Keeps the unreduced basis and the pending S-pairs, so ``extend`` to a
-    higher bound processes only the pairs the earlier bounds left on the heap.
-    Pairs are processed in (lcm degree, creation) order, so the state after
-    ``extend(d1)`` then ``extend(d2)`` equals the state after ``extend(d2)``.
+    Without a bound, degrees are added until the relations and every S-pair
+    of the basis found so far (of leading monomials that are not coprime)
+    lie at or below the degree reached.  Each such S-pair then reduces to
+    zero by that basis, so Buchberger's criterion holds.
     """
-
-    __slots__ = ("field", "basis", "pairs", "counter", "_reduced")
-
-    def __init__(self, relations, field: Field):
-        self.field = field
-        self.basis: list[dict] = []
-        self.pairs: list = []
-        self.counter = itertools.count()
-        self._reduced = None  # reduced basis, until the basis grows
-        for rel in relations:
-            rel = {m: field(c) for m, c in rel.items() if c}
-            if not rel:
-                continue
-            if not is_homogeneous(rel):
-                raise ValueError("relations must be homogeneous")
-            self.basis.append(_monic(rel, field))
-        for j in range(len(self.basis)):
-            self._push_pairs(j)
-
-    @property
-    def complete(self) -> bool:
-        """True once no S-pair is pending: the basis is a full Groebner basis."""
-        return not self.pairs
-
-    def _push_pairs(self, j):
-        basis = self.basis
-        lmj = leading_monomial(basis[j])
-        for i in range(j):
-            lmi = leading_monomial(basis[i])
-            lcm = mono_lcm(lmi, lmj)
-            if sum(lcm) == sum(lmi) + sum(lmj):
-                continue  # coprime leading monomials: S-pair reduces to zero
-            heapq.heappush(self.pairs, (sum(lcm), next(self.counter), i, j))
-
-    def extend(self, bound) -> None:
-        """Process every pending S-pair of lcm degree <= bound."""
-        basis, pairs, field = self.basis, self.pairs, self.field
-        while pairs and pairs[0][0] <= bound:
-            _, _, i, j = heapq.heappop(pairs)
-            gi, gj = basis[i], basis[j]
-            lmi, lmj = leading_monomial(gi), leading_monomial(gj)
-            lcm = mono_lcm(lmi, lmj)
-            s = poly_add(
-                {mono_mul(m, mono_div(lcm, lmi)): c for m, c in gi.items()},
-                {mono_mul(m, mono_div(lcm, lmj)): -c for m, c in gj.items()})
-            s = normal_form(s, basis, field)
-            if s:
-                basis.append(_monic(s, field))
-                self._push_pairs(len(basis) - 1)
-                self._reduced = None
-
-    def reduced(self) -> list[dict]:
-        """The minimal, reduced basis of what has been processed so far."""
-        if self._reduced is not None:
-            return list(self._reduced)
-        field = self.field
-        basis = sorted(self.basis, key=lambda g: grevlex_key(leading_monomial(g)))
-        minimal = []
-        for g in basis:
-            lm = leading_monomial(g)
-            if not any(mono_divides(leading_monomial(h), lm) for h in minimal):
-                minimal.append(g)
-        reduced = []
-        for idx, g in enumerate(minimal):
-            others = minimal[:idx] + minimal[idx + 1:]
-            g = normal_form(g, others, field)
-            if g:
-                reduced.append(_monic(g, field))
-        reduced.sort(key=lambda g: grevlex_key(leading_monomial(g)))
-        self._reduced = reduced
-        return list(reduced)
-
-
-def groebner_basis(relations, field: Field, degree_bound=None, run=None):
-    """Reduced grevlex Groebner basis of a homogeneous ideal.
-
-    With a degree bound, all S-pairs of lcm degree <= bound are processed;
-    leading monomials of the result then decide ideal membership correctly
-    through that degree.  Returns (basis, trusted_degree).
-
-    ``run``, a ``GroebnerRun`` of the same relations and field, resumes that
-    run instead of starting over; it is left holding the state for the next
-    call.  The result is the same either way.
-    """
-    bound = inf if degree_bound is None else degree_bound
-    if run is None:
-        run = GroebnerRun(relations, field)
-    run.extend(bound)
-    return run.reduced(), bound
+    relations = [rel for rel in relations if rel]
+    if not relations:
+        return [], inf if degree_bound is None else degree_bound
+    ring = QuotientRing(len(next(iter(relations[0]))), relations, field)
+    if degree_bound is not None:
+        return ring.groebner(degree_bound), degree_bound
+    d = max(map(poly_degree, ring.relations), default=0)
+    while True:
+        basis = ring.groebner(d)
+        lms = [leading_monomial(g) for g in basis]
+        top = max((sum(lcm) for a, b in itertools.combinations(lms, 2)
+                   if sum(lcm := mono_lcm(a, b)) < sum(a) + sum(b)), default=0)
+        if top <= d:
+            return basis, inf
+        d = top
 
 
 class QuotientRing:
     """A standard graded quotient R = k[X1..Xn]/J with degreewise monomial bases.
 
     Relations must be homogeneous of degree >= 2.  All degreewise data
-    (Groebner basis, standard monomials, Hilbert coefficients) is cached and
-    deterministic.
+    (echelons, standard monomials, normal forms, Groebner basis) is cached
+    and deterministic.
     """
 
     def __init__(self, n: int, relations, field: Field = QQ, names=None):
@@ -225,7 +143,8 @@ class QuotientRing:
             raise ValueError("variable name count does not match n")
         self.relations = []
         for rel in relations:
-            rel = {tuple(m): field(c) for m, c in rel.items() if c}
+            # coerce before dropping zeros: a coefficient may vanish in the field
+            rel = {tuple(m): x for m, c in rel.items() if (x := field(c))}
             if not rel:
                 continue
             if any(len(m) != n for m in rel):
@@ -235,40 +154,101 @@ class QuotientRing:
             if poly_degree(rel) < 2:
                 raise ValueError("relations must have degree >= 2")
             self.relations.append(rel)
-        self._gb: list[dict] = []
-        self._gb_trusted = -1
-        self._gb_run: GroebnerRun | None = None
+        self.is_monomial = all(len(rel) == 1 for rel in self.relations)
+        # a monomial ideal's minimal generators, by grevlex key
+        lms = sorted({next(iter(rel)) for rel in self.relations},
+                     key=grevlex_key) if self.is_monomial else []
+        self._lms = [m for m in lms if not any(lm != m and mono_divides(lm, m) for lm in lms)]
+        self._levels: list = []  # degree -> (W_d monomials, their positions, echelon)
+        self._gb: dict = {}  # degree -> reduced Groebner basis elements of that degree
         self._std: dict[int, tuple] = {}
-        self._standard: dict = {}  # monomial -> no leading monomial divides it
-        self._mult_cache: dict = {}
-
-    @property
-    def is_monomial(self) -> bool:
-        return all(len(rel) == 1 for rel in self.relations)
+        self._nf: dict = {}  # monomial -> its normal form
+        self._products: dict = {}  # (monomial, monomial) -> normal form of the product
 
     @property
     def is_squarefree_monomial(self) -> bool:
         return self.is_monomial and all(
             all(e <= 1 for e in next(iter(rel))) for rel in self.relations)
 
-    def _ensure_gb(self, degree: int):
-        if self._gb_trusted >= degree:
-            return
-        if self.is_monomial:
-            self._gb = [dict(rel) for rel in self.relations]
-            self._gb.sort(key=lambda g: grevlex_key(leading_monomial(g)))
-            self._gb_trusted = inf
-            return
-        if self._gb_run is None:
-            self._gb_run = GroebnerRun(self.relations, self.field)
-        self._gb, self._gb_trusted = groebner_basis(self.relations, self.field,
-                                                    degree_bound=degree, run=self._gb_run)
-        if self._gb_run.complete:
-            self._gb_trusted = inf
+    def _cofactor_span(self, d: int) -> list:
+        """The monomials x_j * s spanning W_d, s standard of degree d - 1,
+        in descending grevlex order."""
+        if d == 0:
+            return [(0,) * self.n]
+        return sorted({_shift(s, j, 1) for s in self.std_monomials(d - 1)
+                       for j in range(self.n)}, key=grevlex_key, reverse=True)
+
+    def _level(self, d: int) -> tuple:
+        """Degree d's echelon over W_d, building the lower degrees first."""
+        levels = self._levels
+        n = self.n
+        while len(levels) <= d:
+            k = len(levels)
+            monos = self._cofactor_span(k)
+            index = {m: pos for pos, m in enumerate(monos)}
+            rows = [self._into(g, index) for g in self.relations if poly_degree(g) == k]
+            if k:
+                below, _, ech = levels[k - 1]
+                for _, col in ech.stored_columns():
+                    e = [(below[q], c) for q, c in col.items()]
+                    for j in range(n):
+                        rows.append(self._into({_shift(m, j, 1): c for m, c in e}, index))
+            ech = FieldEchelon(self.field)
+            # by descending leading position, which keeps the reductions short
+            for row in sorted(filter(None, rows), key=min, reverse=True):
+                ech.insert(row)
+            levels.append((monos, index, ech))
+        return levels[d]
+
+    def _into(self, p: dict, index: dict) -> dict:
+        """phi(p) for a polynomial p of degree d: its W_d coordinates."""
+        out: dict = {}
+        for m, c in p.items():
+            pos = index.get(m)
+            if pos is not None:
+                terms = ((pos, c),)
+            else:
+                k = next(k for k, e in enumerate(m) if e)
+                terms = ((index[_shift(s, k, 1)], c * c2)
+                         for s, c2 in self._monomial_nf(_shift(m, k, -1)).items())
+            for pos, v in terms:
+                w = out.get(pos, 0) + v
+                if w:
+                    out[pos] = w
+                else:
+                    out.pop(pos, None)
+        return out
+
+    def _monomial_nf(self, m: Monomial) -> dict:
+        """Normal form of one monomial, descending grevlex, memoized."""
+        hit = self._nf.get(m)
+        if hit is None:
+            if self.is_monomial:
+                standard = not any(mono_divides(lm, m) for lm in self._lms)
+                hit = {m: self.field.one} if standard else {}
+            else:
+                monos, index, ech = self._level(sum(m))
+                residual, _ = ech.reduce(self._into({m: 1}, index))
+                hit = {monos[pos]: residual[pos] for pos in sorted(residual)}
+            self._nf[m] = hit
+        return hit
 
     def groebner(self, degree: int) -> list[dict]:
-        self._ensure_gb(degree)
-        return self._gb
+        """The reduced Groebner basis elements of degree <= ``degree``."""
+        one = self.field.one
+        if self.is_monomial:
+            return [{m: one} for m in self._lms if sum(m) <= degree]
+        out = []
+        for d in range(degree + 1):
+            if d not in self._gb:
+                monos, _, ech = self._level(d)
+                minimal = [monos[pos] for pos in sorted(ech.pivots, reverse=True)
+                           if all(self.is_standard(_shift(monos[pos], k, -1))
+                                  for k, e in enumerate(monos[pos]) if e)]
+                self._gb[d] = [{m: one} | {s: -c for s, c in self._monomial_nf(m).items()}
+                               for m in minimal]
+            out += self._gb[d]
+        return out
 
     def leading_monomials(self, degree: int) -> list[Monomial]:
         return [leading_monomial(g) for g in self.groebner(degree)]
@@ -279,39 +259,21 @@ class QuotientRing:
             return ()
         if d in self._std:
             return self._std[d]
-        self._ensure_gb(d)
-        lms = [lm for lm in self.leading_monomials(d) if sum(lm) <= d]
-        if d == 0:
-            result = ((0,) * self.n,) if self.n >= 0 else ()
+        if self.is_monomial:
+            lms = [lm for lm in self._lms if sum(lm) <= d]
+            result = tuple(m for m in reversed(self._cofactor_span(d))
+                           if not any(mono_divides(lm, m) for lm in lms))
         else:
-            prev = self.std_monomials(d - 1)
-            found = []
-            for m in prev:
-                last = 0
-                for i in range(self.n - 1, -1, -1):
-                    if m[i]:
-                        last = i
-                        break
-                for i in range(last, self.n):
-                    cand = m[:i] + (m[i] + 1,) + m[i + 1:]
-                    if not any(mono_divides(lm, cand) for lm in lms):
-                        found.append(cand)
-            found.sort(key=grevlex_key)
-            result = tuple(found)
+            monos, _, ech = self._level(d)
+            result = tuple(monos[pos] for pos in range(len(monos) - 1, -1, -1)
+                           if pos not in ech.pivots)
         self._std[d] = result
         return result
 
     def is_standard(self, m: Monomial) -> bool:
-        """True iff no leading monomial of the Groebner basis divides m, cached.
-
-        The basis is completed to degree sum(m) first, and no element of higher
-        degree can divide m, so the answer never changes.
-        """
-        hit = self._standard.get(m)
-        if hit is None:
-            hit = self._standard[m] = not any(
-                mono_divides(lm, m) for lm in self.leading_monomials(sum(m)))
-        return hit
+        """True iff m is not a leading monomial of the ideal: a normal form
+        is supported on standard monomials, so m is one iff NF(m) contains m."""
+        return m in self._monomial_nf(m)
 
     def dim(self, d: int) -> int:
         return len(self.std_monomials(d))
@@ -325,12 +287,8 @@ class QuotientRing:
         return {m: i for i, m in enumerate(self.std_monomials(d))}
 
     def normal_form(self, p: dict) -> dict:
-        p = {m: self.field(c) for m, c in p.items() if c}
-        if not p:
-            return {}
-        top = max(sum(m) for m in p)
-        self._ensure_gb(top)
-        return normal_form(p, self._gb, self.field)
+        p = {m: x for m, c in p.items() if (x := self.field(c))}
+        return normal_form(p, self._monomial_nf, self.field)
 
     def multiply_mod(self, a: dict, b: dict) -> dict:
         return self.normal_form(poly_mul(a, b))
@@ -338,10 +296,9 @@ class QuotientRing:
     def mono_product(self, a: Monomial, b: Monomial) -> dict:
         """Normal form of the product of two monomials, cached."""
         key = (a, b)
-        hit = self._mult_cache.get(key)
+        hit = self._products.get(key)
         if hit is None:
-            hit = self.normal_form({mono_mul(a, b): self.field.one})
-            self._mult_cache[key] = hit
+            hit = self._products[key] = self._monomial_nf(mono_mul(a, b))
         return hit
 
     def contains(self, p: dict) -> bool:

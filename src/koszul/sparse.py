@@ -120,6 +120,12 @@ class IntEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def stored_columns(self):
+        """Each stored column as ``(pivot, int vector)``: a nonzero multiple
+        of the column, keyed by position like the inserted ones."""
+        for pos, (tail, pv, _) in self.pivots.items():
+            yield pos, {pos: pv} | tail
+
     def _scaled(self, col: dict) -> tuple:
         """``col`` as an int vector, and the factor it was scaled by."""
         p = self.p

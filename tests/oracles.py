@@ -1,10 +1,12 @@
 """Independent oracles the tests check the fast paths against.
 
 Everything here is deliberately naive: dense Fraction Gaussian elimination,
-and a re-implementation of noncommutative rewriting that keeps the full trace
-so ideal membership of p - reduce(p) can be verified by exact reconstruction.
+Macaulay matrices of every monomial multiple of the relations, and a
+re-implementation of noncommutative rewriting that keeps the full trace so
+ideal membership of p - reduce(p) can be verified by exact reconstruction.
 """
 
+import itertools
 from fractions import Fraction
 
 
@@ -65,6 +67,27 @@ def dense_homology_dim(d_in_columns, d_out_columns, nrows_in, p=0):
     nullity = len(kernel)
     rank_out, _ = dense_rank_kernel(d_out_columns, len(d_in_columns), p)
     return nullity - rank_out
+
+
+def monomials_of_degree(n, d):
+    return [m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d]
+
+
+def macaulay_columns(relations, n, d):
+    """The Macaulay matrix of homogeneous relations in degree d: the degree-d
+    monomials, and every monomial multiple of a relation that has degree d as
+    a sparse column over them.  Its rank is dim J_d, so dim R_d is the number
+    of monomials minus the rank (``dense_rank_kernel``)."""
+    monos = monomials_of_degree(n, d)
+    index = {m: k for k, m in enumerate(monos)}
+    columns = []
+    for g in relations:
+        shift = d - sum(next(iter(g)))
+        if shift >= 0:
+            for a in monomials_of_degree(n, shift):
+                columns.append({index[tuple(x + y for x, y in zip(a, m))]: c
+                                for m, c in g.items()})
+    return monos, columns
 
 
 def traced_reduce(system, p):

@@ -262,6 +262,16 @@ def test_negative_bounds_rejected_at_parse_time(tmp_path, capsys, argv):
     (["x^2"], "ring document must be a JSON object"),
     ({"field": "QQ", "variables": ["x", ""], "relations": ["x^2"]},
      "'variables' has an empty name at position 1"),
+    ({"field": {"Fp": 2.5}, "variables": ["x"], "relations": ["x^2"]},
+     "unrecognized field spec"),
+    ({"field": {"Fp": 7.9}, "variables": ["x"], "relations": ["x^2"]},
+     "unrecognized field spec"),
+    ({"field": {"Fp": 7.0}, "variables": ["x"], "relations": ["x^2"]},
+     "unrecognized field spec"),
+    ({"field": {"Fp": "7"}, "variables": ["x"], "relations": ["x^2"]},
+     "unrecognized field spec"),
+    ({"field": {"Fp": True}, "variables": ["x"], "relations": ["x^2"]},
+     "unrecognized field spec"),
 ])
 def test_malformed_ring_documents_exit_2(tmp_path, capsys, doc, named):
     path = write_ring(tmp_path, doc)
@@ -281,6 +291,36 @@ def test_malformed_ring_documents_exit_2(tmp_path, capsys, doc, named):
 def test_family_ci_rejects_bad_input(capsys, variables, quadrics, named):
     assert main(["family", "--family", "ci", "--variables", variables,
                  "--quadrics", quadrics]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
+def test_family_ci_rejects_composite_field(capsys):
+    assert main(["family", "--family", "ci", "--variables", "x,y",
+                 "--quadrics", "x^2,y^2", "--field", "F4"]) == 2
+    captured = capsys.readouterr()
+    assert "--field: field order must be 0 (rationals) or prime, got 4" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
+def test_family_internal_failure_exits_1(monkeypatch, capsys):
+    # a failed internal check is an inconsistency, not a usage error
+    import koszul.families
+    monkeypatch.setattr(koszul.families, "differential", lambda ring, z: {"x": 1})
+    assert main(["family", "--family", "ci", "--variables", "x,y",
+                 "--quadrics", "x^2,y^2"]) == 1
+    assert "complete-intersection cycle failed to be a cycle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, relations, named", [
+    ("gorenstein", ["x^2", "x*y", "y^2"], "not a short Gorenstein ring"),
+    ("three-rel", ["x^2", "y^2"], "need exactly three defining relations"),
+])
+def test_family_ring_outside_the_family_exits_2(tmp_path, capsys, family, relations, named):
+    path = write_ring(tmp_path, {"field": "QQ", "variables": ["x", "y"],
+                                 "relations": relations})
+    assert main(["family", "--family", family, "--ring", path]) == 2
     captured = capsys.readouterr()
     assert named in captured.err
     assert "Traceback" not in captured.err and not captured.out

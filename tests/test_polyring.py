@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -6,11 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszul import QQ, Field, QuotientRing, parse_polynomial, poly_to_string
-from koszul.polyring import (GroebnerRun, ParseError, grevlex_key, groebner_basis,
-                             is_homogeneous, leading_monomial, normal_form,
-                             poly_add, poly_degree, poly_mul)
+from koszul.polyring import (ParseError, grevlex_key, groebner_basis,
+                             leading_monomial, mono_divides, mono_lcm, mono_mul,
+                             poly_degree, poly_mul)
 
 from conftest import generic_quadrics_ring, make_63ne, ring_from_strings
+from oracles import dense_rank_kernel, macaulay_columns, monomials_of_degree
+
+
+def poly_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def test_grevlex_on_classic_example():
@@ -50,7 +63,6 @@ def test_63ne_groebner_dimensions():
     assert ring.dim(1) == 4
     assert ring.dim(2) == 4
     monos = [m for m in ring.std_monomials(2)]
-    from oracles import dense_rank_kernel
     all_deg2 = sorted(
         (tuple(m) for m in _monomials(4, 2)), key=grevlex_key)
     index = {m: k for k, m in enumerate(all_deg2)}
@@ -116,13 +128,8 @@ def test_normal_form_idempotent_and_difference_in_ideal():
     assert ring.contains(difference)
 
 
-def test_difference_expressible_in_groebner_elements():
-    # run the division with quotient tracking and reconstruct exactly
-    from koszul.polyring import (grevlex_key, leading_monomial, mono_div,
-                                 mono_divides, mono_mul)
-    ring = make_63ne()
-    basis = ring.groebner(5)
-    f = parse_polynomial("x*z*u^2 + y^2*z^2 - u*x*z*u + x^2*y*u", ring.names)
+def _divide(f, basis):
+    """Division by the basis, largest term first: (quotients, remainder)."""
     work = dict(f)
     quotients = [dict() for _ in basis]
     remainder = {}
@@ -146,6 +153,15 @@ def test_difference_expressible_in_groebner_elements():
                 break
         else:
             remainder[m] = c
+    return quotients, remainder
+
+
+def test_difference_expressible_in_groebner_elements():
+    # run the division with quotient tracking and reconstruct exactly
+    ring = make_63ne()
+    basis = ring.groebner(5)
+    f = parse_polynomial("x*z*u^2 + y^2*z^2 - u*x*z*u + x^2*y*u", ring.names)
+    quotients, remainder = _divide(f, basis)
     assert remainder == ring.normal_form(f)
     rebuilt = dict(remainder)
     for quotient, g in zip(quotients, basis):
@@ -223,43 +239,102 @@ def test_parse_prime_field():
 
 
 def test_degree_truncated_groebner_extends():
+    # a deeper request builds the missing degrees and keeps the ones built
     ring = make_63ne()
     ring.std_monomials(2)
-    trusted_before = ring._gb_trusted
+    built = list(ring._levels)
+    assert len(built) == 3
     ring.std_monomials(6)
-    assert ring._gb_trusted >= 6 >= 2
-    assert trusted_before <= ring._gb_trusted
+    assert len(ring._levels) == 7 and ring._levels[:3] == built
 
 
 @pytest.mark.parametrize("field", [Field(32003), QQ], ids=["gf32003", "qq"])
 def test_resumed_groebner_matches_fresh_runs(field):
     ring = generic_quadrics_ring(field)
     fresh = {d: groebner_basis(ring.relations, field, d)[0] for d in range(8)}
-    # raising the degree one step at a time resumes the ring's one run
+    # raising the degree one step at a time extends the ring's echelons
     for d in range(8):
         assert ring.groebner(d) == fresh[d]
-    # the stepped run holds what one run to degree 7 holds, pending pairs too
-    direct = GroebnerRun(ring.relations, field)
-    direct.extend(7)
-    assert ring._gb_run.basis == direct.basis
-    assert ring._gb_run.pairs == direct.pairs
-    assert all(deg > 7 for deg, *_ in direct.pairs)
-    # after a deeper request, the part of degree <= d is the truncated basis
-    # (once d reaches the degree of the relations)
+        assert all(poly_degree(g) <= d for g in fresh[d])
+    # one request to degree 7 builds the same echelons, pivot for pivot
     deep = generic_quadrics_ring(field)
     deep.groebner(7)
-    for d in range(2, 8):
-        assert [g for g in deep.groebner(d) if poly_degree(g) <= d] == fresh[d]
+    for d in range(8):
+        assert deep._levels[d][0] == ring._levels[d][0]
+        assert deep._levels[d][2].pivots == ring._levels[d][2].pivots
+        assert deep.groebner(d) == fresh[d]
+        # the pivots are the leading monomials of J_d inside W_d
+        monos, _, ech = ring._levels[d]
+        assert len(monos) - len(ech.pivots) == ring.dim(d)
 
 
-def test_groebner_run_resumes_to_the_full_basis():
-    ring = make_63ne()
-    run = GroebnerRun(ring.relations, QQ)
+@pytest.mark.parametrize("name", ["63ne", "generic-gf32003"])
+def test_full_groebner_basis_passes_buchberger_criterion(name):
+    ring = make_63ne() if name == "63ne" else generic_quadrics_ring(Field(32003), 4, 3)
+    full, trusted = groebner_basis(ring.relations, ring.field)
+    assert trusted == float("inf")
     for d in (2, 3, 5):
-        assert groebner_basis(ring.relations, QQ, d, run=run) == \
-            groebner_basis(ring.relations, QQ, d)
-    full, trusted = groebner_basis(ring.relations, QQ, run=run)
-    assert run.complete and full == groebner_basis(ring.relations, QQ)[0]
+        truncated, bound = groebner_basis(ring.relations, ring.field, d)
+        assert bound == d
+        assert truncated == [g for g in full if poly_degree(g) <= d]
+    for g, h in itertools.combinations(full, 2):
+        a, b = leading_monomial(g), leading_monomial(h)
+        lcm = mono_lcm(a, b)
+        s = poly_add({mono_mul(m, mono_div(lcm, a)): c for m, c in g.items()},
+                     {mono_mul(m, mono_div(lcm, b)): -c for m, c in h.items()})
+        assert _divide(s, full)[1] == {}
+
+
+def test_monomial_relations_give_monic_minimal_basis():
+    F7 = Field(7)
+    assert groebner_basis([{(2, 0): F7(-2)}], F7) == ([{(2, 0): 1}], float("inf"))
+    basis, _ = groebner_basis([{(2, 0): 3}, {(3, 0): 1}, {(1, 1): -1}], QQ)
+    assert basis == [{(1, 1): 1}, {(2, 0): 1}]
+
+
+def test_relations_vanishing_in_the_field():
+    F5 = Field(5)
+    assert QuotientRing(2, [{(2, 0): 5}], F5).hilbert_coeffs(3) == [1, 2, 3, 4]
+    ring = QuotientRing(2, [{(2, 0): 5, (1, 1): 1}], F5)
+    assert ring.relations == [{(1, 1): 1}] and ring.is_monomial
+    assert ring.std_monomials(2) == ((0, 2), (2, 0))
+    assert ring.normal_form({(1, 1): 1, (2, 0): 3}) == {(2, 0): 3}
+
+
+@st.composite
+def small_ideals(draw):
+    """(p, n, relations): a few homogeneous relations of degree 2 or 3 with
+    small integer coefficients, some of which vanish mod p (p = 0 is QQ)."""
+    p = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    n = draw(st.integers(2, 4))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = monomials_of_degree(n, draw(st.integers(2, 3)))
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4,
+                                unique=True))
+        relations.append({m: draw(st.integers(-7, 7)) for m in support})
+    return p, n, relations
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals())
+def test_quotient_ring_matches_macaulay_oracle(ideal):
+    p, n, relations = ideal
+    ring = QuotientRing(n, relations, Field(p))
+    for d in range(7):
+        monos, multiples = macaulay_columns(relations, n, d)
+        rank, _ = dense_rank_kernel(multiples, len(monos), p)
+        assert ring.dim(d) == len(monos) - rank
+        standard = set(ring.std_monomials(d))
+        index = {m: k for k, m in enumerate(monos)}
+        differences = []
+        for m in monos:
+            nf = ring.normal_form({m: 1})
+            assert set(nf) <= standard
+            differences.append(poly_add({index[m]: 1},
+                                        {index[s]: -c for s, c in nf.items()}))
+        # every M - NF(M) lies in the span of the multiples
+        assert dense_rank_kernel(multiples + differences, len(monos), p)[0] == rank
 
 
 def test_field_orders_decided_by_miller_rabin():
