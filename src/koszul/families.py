@@ -116,13 +116,11 @@ def build_cycle_ring(n: int, field: Field = QQ) -> QuotientRing:
 # shared helpers
 
 def _vec_product(H: KoszulHomologyAlgebra, b1, vec1: dict, b2, vec2: dict) -> dict:
-    """Product of two coordinate vectors (over the bases at bidegrees b1, b2)."""
+    """Product of two coordinate vectors, keyed by class index at bidegrees b1, b2."""
     out: dict = {}
-    basis1 = H.basis(*b1)
-    basis2 = H.basis(*b2)
     for a, c1 in vec1.items():
         for b, c2 in vec2.items():
-            for x, c in H.product_coords(basis1[a], basis2[b]).items():
+            for x, c in H.product_coords(H.klass(*b1, a), H.klass(*b2, b)).items():
                 acc = out.get(x, H.field.zero) + c1 * c2 * c
                 if acc:
                     out[x] = acc
@@ -325,9 +323,15 @@ def short_gorenstein_certify(R: QuotientRing):
         raise InputError("Betti row is not symmetric")
     sigma = H.basis(n, n + 2)[0]
 
+    def by_index(i, vec):
+        # the vectors below are over basis positions of H_{i,i+1}
+        basis = H.basis(i, i + 1)
+        return {basis[pos].index: c for pos, c in vec.items()}
+
     def pair_scalar(vec1, i1, vec2, i2):
-        out = _vec_product(H, (i1, i1 + 1), vec1, (i2, i2 + 1), vec2)
-        return out.get(0, field.zero)
+        out = _vec_product(H, (i1, i1 + 1), by_index(i1, vec1),
+                           (i2, i2 + 1), by_index(i2, vec2))
+        return out.get(sigma.index, field.zero)
 
     c = n // 2
     unit = field.one
@@ -403,14 +407,14 @@ def short_gorenstein_certify(R: QuotientRing):
         for jdx, vec in enumerate(zeta_vectors[i]):
             zeta_ids[(i, jdx)] = len(gen_names)
             gen_names.append(f"z{i}_{jdx+1}")
-            gen_info.append(((i, i + 1), vec))
+            gen_info.append(((i, i + 1), by_index(i, vec)))
     for i in sorted(eta_vectors):
         if aliased_middle and i == c:
             continue  # middle etas are scalings of the middle zetas
         for jdx, vec in enumerate(eta_vectors[i]):
             eta_ids[(i, jdx)] = len(gen_names)
             gen_names.append(f"w{i}_{jdx+1}")
-            gen_info.append(((i, i + 1), vec))
+            gen_info.append(((i, i + 1), by_index(i, vec)))
     algebra = FreeAlgebra(gen_names, [1] * len(gen_names), field)
 
     # the distinguished pair monomials evaluating to the socle class
@@ -463,8 +467,8 @@ def short_gorenstein_certify(R: QuotientRing):
         relations.append({k: v for k, v in rel.items() if v})  # types (3)-(4)
 
     bad = _relations_vanish(H, gen_info, relations)
-    rel1_ok = _check_duality_relations(H, field, zeta_vectors, eta_vectors,
-                                       n, b, c, aliased_middle, middle_scalings)
+    rel1_ok = _check_duality_relations(pair_scalar, field.one, zeta_vectors,
+                                       eta_vectors, n)
     system = ReductionSystem(algebra, relations)
     cert = certify_groebner_by_dims(system, _strand_dims(H, 4), 4)
     ok = not bad and cert.passed and rel1_ok
@@ -486,18 +490,15 @@ def _gram_json(gram):
     return [[str(v) for v in row] for row in gram]
 
 
-def _check_duality_relations(H, field, zeta_vectors, eta_vectors, n, b, c,
-                             aliased_middle, middle_scalings) -> bool:
+def _check_duality_relations(pair_scalar, one, zeta_vectors, eta_vectors,
+                             n) -> bool:
     for i in sorted(zeta_vectors):
         etas = eta_vectors.get(n - i) if i < n - i else eta_vectors.get(i)
         if etas is None:
             return False
-        i2 = n - i
         for jdx, z in enumerate(zeta_vectors[i]):
             for ldx, e in enumerate(etas):
-                out = _vec_product(H, (i, i + 1), z, (i2, i2 + 1), e)
-                val = out.get(0, field.zero)
-                if (jdx == ldx) != bool(val == field.one):
+                if (jdx == ldx) != (pair_scalar(z, i, e, n - i) == one):
                     return False
     return True
 
@@ -552,17 +553,18 @@ def three_relation_certify(R: QuotientRing):
     if table_id is None:
         raise InputError(f"Betti table {sorted(table.items())} matches none of "
                          "the four classified shapes")
+    # class indices of the linear strand H_{1,2}, by basis position
+    z = [h.index for h in H.basis(1, 2)]
 
     if table_id in ("top-left", "top-right"):
         # all of H' in degree 1: every quadratic word is a relation
-        gens = [((1, 2), {k: field.one}) for k in range(3)]
+        gens = [((1, 2), {x: field.one}) for x in z]
         names = ["z1", "z2", "z3"]
         strand1 = _strand_dims(H, 4)
         for i in range(2, 4):
             if table.get((i, 1), 0):
-                base = H.basis(i, i + 1)
-                for k in range(len(base)):
-                    gens.append(((i, i + 1), {k: field.one}))
+                for k, h in enumerate(H.basis(i, i + 1)):
+                    gens.append(((i, i + 1), {h.index: field.one}))
                     names.append(f"y{i}_{k+1}")
         algebra = FreeAlgebra(names, [1] * len(names), field)
         relations = [{(a, bb): field.one} for a in range(len(names))
@@ -580,7 +582,7 @@ def three_relation_certify(R: QuotientRing):
 
     if table_id == "bottom-left":
         # complete intersection shape: exterior algebra on the linear strand
-        gens = [((1, 2), {k: field.one}) for k in range(3)]
+        gens = [((1, 2), {x: field.one}) for x in z]
         names = ["z1", "z2", "z3"]
         algebra = FreeAlgebra(names, [1, 1, 1], field)
         relations = [{(k, k): field.one} for k in range(3)]
@@ -599,24 +601,25 @@ def three_relation_certify(R: QuotientRing):
             {"table": table_id, "relations_vanish": not bad})
 
     # bottom-right: extract zeta_1, zeta_2, zeta_3, eta with zeta_1 eta = sigma
-    eta_vec = {0: field.one}
+    eta_vec = {H.basis(2, 3)[0].index: field.one}
+    socle = H.basis(3, 5)[0].index
     mult_to_socle = []
     for a in range(3):
-        out = _vec_product(H, (1, 2), {a: field.one}, (2, 3), eta_vec)
-        mult_to_socle.append(out.get(0, field.zero))
+        out = _vec_product(H, (1, 2), {z[a]: field.one}, (2, 3), eta_vec)
+        mult_to_socle.append(out.get(socle, field.zero))
     pivot = next((a for a in range(3) if mult_to_socle[a]), None)
     if pivot is None:
         raise ValueError("linear strand does not multiply onto the socle")
-    zeta1 = {pivot: field.inv(mult_to_socle[pivot])}
+    zeta1 = {z[pivot]: field.inv(mult_to_socle[pivot])}
     kernel = []
     for a in range(3):
         if a == pivot:
             continue
         # subtract the socle component to land in the kernel
-        vec = {a: field.one}
+        vec = {z[a]: field.one}
         coeff = mult_to_socle[a]
         if coeff:
-            vec[pivot] = field.neg(field.mul(
+            vec[z[pivot]] = field.neg(field.mul(
                 coeff, field.inv(mult_to_socle[pivot])))
         kernel.append(vec)
     zeta2, zeta3 = kernel

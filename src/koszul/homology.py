@@ -87,11 +87,16 @@ def differential(ring: QuotientRing, element: dict) -> dict:
 
 @dataclass(frozen=True)
 class HomologyClass:
-    """A homology class with its reduced cycle representative."""
+    """A homology class with its reduced cycle representative.
+
+    ``index`` keys the class in coordinate vectors.  On the bigraded route it
+    is the class's position in ``basis(i, j)``; on the multigraded route it is
+    ``(u, k)``, the multidegree and the class's place among the classes of u.
+    """
 
     i: int
     j: int
-    index: int
+    index: int | tuple
     representative: dict = dc_field(compare=False, hash=False)
     multidegree: tuple | None = dc_field(default=None, compare=True)
 
@@ -155,8 +160,10 @@ class KoszulHomologyAlgebra:
     with cycle representatives are built lazily, only for bases, cycle
     coordinates and products, and cached.  For squarefree monomial ideals the
     per-multidegree decomposition is used throughout, so a slice is keyed by
-    ``(i, u)`` instead of ``(i, j)``.  Products of classes are computed in the
-    complex and reduced to coordinates in the stored bases.
+    ``(i, u)`` instead of ``(i, j)`` and a class's index is ``(u, k)``; other
+    rings index classes by their position in ``basis(i, j)``.  Products of
+    classes are computed in the complex and reduced to coordinates, keyed by
+    class index, in the stored bases.
     """
 
     def __init__(self, ring: QuotientRing, i_max: int, j_max: int):
@@ -170,13 +177,12 @@ class KoszulHomologyAlgebra:
         # multidegrees, so slices can be assembled per multidegree
         self.multigraded = ring.is_squarefree_monomial
         # all keyed by (i, grade), grade an internal degree j or, on the
-        # multigraded route, a multidegree u
+        # multigraded route, a multidegree u; there _bases also holds
+        # basis(i, j) under (i, j)
         self._complex_bases: dict = {}
         self._ranks: dict = {}
         self._slices: dict = {}
         self._bases: dict = {}
-        # (i, j) -> {u: index of u's first class in basis(i, j)}, multigraded
-        self._offsets: dict = {}
         self._product_cache: dict = {}
 
     # -- slice plumbing -----------------------------------------------------
@@ -229,17 +235,28 @@ class KoszulHomologyAlgebra:
         for support in itertools.combinations(range(self.ring.n), j):
             yield tuple(1 if k in support else 0 for k in range(self.ring.n))
 
-    def _offset_table(self, i: int, j: int) -> dict:
-        """Start of each squarefree u's classes in basis(i, j), from slice dims."""
-        key = (i, j)
-        hit = self._offsets.get(key)
+    def _classes(self, i: int, grade) -> list[HomologyClass]:
+        """The classes of one slice, built once; basis(i, j) on the bigraded route.
+
+        On the multigraded route no slice is built where the ranks say that
+        u carries no homology.
+        """
+        key = (i, grade)
+        hit = self._bases.get(key)
         if hit is None:
-            hit = {}
-            offset = 0
-            for u in self._squarefree_multidegrees(j):
-                hit[u] = offset
-                offset += self._slice_dim(i, u)
-            self._offsets[key] = hit
+            u = grade if self.multigraded else None
+            if i == 0:
+                reps = [{((0,) * self.ring.n, ()): self.field.one}]
+            elif u is not None and not self._slice_dim(i, u):
+                reps = []
+            else:
+                sl = self._slice(i, grade)
+                reps = [{sl.basis[pos]: c for pos, c in sorted(rep.items())}
+                        for rep in sl.reps]
+            hit = self._bases[key] = [
+                HomologyClass(i, grade, k, rep) if u is None
+                else HomologyClass(i, sum(u), (u, k), rep, u)
+                for k, rep in enumerate(reps)]
         return hit
 
     def _check_bounds(self, i: int, j: int):
@@ -251,30 +268,24 @@ class KoszulHomologyAlgebra:
 
     def basis(self, i: int, j: int) -> list[HomologyClass]:
         self._check_bounds(i, j)
+        if not (0 < i <= min(j, self.ring.n) or i == j == 0):
+            return []
+        if not self.multigraded:
+            return self._classes(i, j)
         key = (i, j)
-        if key in self._bases:
-            return self._bases[key]
-        classes = []
-        if i == 0 and j == 0:
-            unit = HomologyClass(0, 0, 0, {((0,) * self.ring.n, ()): self.field.one},
-                                 (0,) * self.ring.n if self.multigraded else None)
-            classes.append(unit)
-        elif j > 0 and 0 < i <= min(j, self.ring.n):
-            if self.multigraded:
-                for u in self._squarefree_multidegrees(j):
-                    sl = self._slice(i, u)
-                    for rep in sl.reps:
-                        classes.append(HomologyClass(
-                            i, j, len(classes),
-                            {sl.basis[pos]: c for pos, c in sorted(rep.items())}, u))
-            else:
-                sl = self._slice(i, j)
-                for rep in sl.reps:
-                    classes.append(HomologyClass(
-                        i, j, len(classes),
-                        {sl.basis[pos]: c for pos, c in sorted(rep.items())}, None))
-        self._bases[key] = classes
-        return classes
+        hit = self._bases.get(key)
+        if hit is None:
+            hit = self._bases[key] = [h for u in self._squarefree_multidegrees(j)
+                                      for h in self._classes(i, u)]
+        return hit
+
+    def klass(self, i: int, j: int, index) -> HomologyClass:
+        """The class with this index in H_{i,j}, without listing basis(i, j)."""
+        if not self.multigraded:
+            return self.basis(i, j)[index]
+        self._check_bounds(i, j)
+        u, k = index
+        return self._classes(i, u)[k]
 
     def dim(self, i: int, j: int) -> int:
         if i == 0:
@@ -311,33 +322,26 @@ class KoszulHomologyAlgebra:
     # -- algebra structure ----------------------------------------------------
 
     def coords_of_cycle(self, i: int, j: int, element: dict) -> dict:
-        """Coordinates of a cycle (dict over (v, w) pairs) in the basis of H_{i,j}."""
+        """Coordinates of a cycle (dict over (v, w) pairs) in H_{i,j}, keyed by
+        class index."""
         self._check_bounds(i, j)
-        if not element:
-            return {}
-        if self.multigraded:
-            by_u: dict = {}
-            for bw, c in element.items():
-                by_u.setdefault(_multidegree(bw), {})[bw] = c
-            # only the slices the cycle touches are built; the others
-            # contribute their dims to the offsets, which come from ranks
-            offsets = self._offset_table(i, j)
-            coords = {}
-            for u, offset in offsets.items():
-                part = by_u.pop(u, None)
-                if part:
-                    sl = self._slice(i, u)
-                    for r, c in sl.coords({sl.index[bw]: c for bw, c in part.items()}).items():
-                        if c:
-                            coords[offset + r] = c
-            for u in by_u:
-                # cycles over non-squarefree multidegrees are boundaries
-                if _squarefree(u):
-                    raise ValueError(f"unexpected squarefree leftover {u}")
-            return coords
-        sl = self._slice(i, j)
-        return {r: c for r, c in
-                sl.coords({sl.index[bw]: c for bw, c in element.items()}).items() if c}
+        # only the slices the cycle touches are built
+        parts: dict = {}
+        for bw, c in element.items():
+            parts.setdefault(_multidegree(bw) if self.multigraded else j, {})[bw] = c
+        coords = {}
+        for grade, part in parts.items():
+            if self.multigraded and not _squarefree(grade):
+                # no homology off squarefree multidegrees: a cycle there is a
+                # boundary, so only the cycle condition is checked
+                if differential(self.ring, part):
+                    raise ValueError("vector is not a cycle in this slice")
+                continue
+            sl = self._slice(i, grade)
+            for r, c in sl.coords({sl.index[bw]: c for bw, c in part.items()}).items():
+                if c:
+                    coords[(grade, r) if self.multigraded else r] = c
+        return coords
 
     def multiply_elements(self, e1: dict, e2: dict) -> dict:
         """Product in the Koszul complex with exterior signs, ring parts reduced."""
@@ -395,31 +399,27 @@ class KoszulHomologyAlgebra:
             raise ValueError("homology does not live in positive strands")
         if mode == "multigraded" and not self.multigraded:
             raise ValueError("multigraded data needs a monomial defining ideal")
-        components: dict = {}
-        keys: dict = {}
+        if mode not in ("bigraded", "strand", "multigraded"):
+            raise ValueError(f"unknown mode {mode!r}")
+        # grade -> classes in component order; within a strand, j ascends
+        # with i, so classes come ordered by (i, j, position)
+        classes_of: dict = {}
+        labels: dict = {}
+        place: dict = {}   # (i, j, index) -> position in its component
         for j in range(1, self.j_max + 1):
             for i in range(1, min(j, self.i_max) + 1):
-                classes = self.basis(i, j)
-                if not classes:
-                    continue
-                if mode == "bigraded":
-                    components[(i, j)] = len(classes)
-                    keys.setdefault((i, j), []).extend(classes)
-                elif mode == "strand":
-                    keys.setdefault(j - i, []).extend(classes)
-                elif mode == "multigraded":
-                    for h in classes:
-                        keys.setdefault((i,) + h.multidegree, []).append(h)
-                else:
-                    raise ValueError(f"unknown mode {mode!r}")
-        if mode == "strand":
-            # deterministic: classes ordered by (i, j, index) within a strand
-            for q in keys:
-                keys[q].sort(key=lambda h: (h.i, h.j, h.index))
-            components = {(q,): len(v) for q, v in keys.items()}
-            keys = {(q,): v for q, v in keys.items()}
-        elif mode == "multigraded":
-            components = {g: len(v) for g, v in keys.items()}
+                for pos, h in enumerate(self.basis(i, j)):
+                    if mode == "bigraded":
+                        grade = (i, j)
+                    elif mode == "strand":
+                        grade = (j - i,)
+                    else:
+                        grade = (i,) + h.multidegree
+                    component = classes_of.setdefault(grade, [])
+                    place[(i, j, h.index)] = len(component)
+                    component.append(h)
+                    labels.setdefault(grade, []).append(f"h[{i},{j}]_{pos}")
+        components = {g: len(v) for g, v in classes_of.items()}
 
         def weight(grade):
             if mode == "bigraded":
@@ -438,30 +438,13 @@ class KoszulHomologyAlgebra:
         else:
             bound = self.j_max
 
-        classes_of = keys
-
         def mult(g1, a, g2, b):
             h1 = classes_of[g1][a]
             h2 = classes_of[g2][b]
-            coords = self.product_coords(h1, h2)
-            if not coords:
-                return {}
-            target = tuple(x + y for x, y in zip(g1, g2))
-            targets = classes_of.get(target, [])
-            # map bigraded coordinates onto the component's class ordering
-            if mode == "bigraded":
-                return dict(coords)
-            remap = {}
-            for pos, h in enumerate(targets):
-                remap[(h.i, h.j, h.index)] = pos
-            out = {}
             ti, tj = h1.i + h2.i, h1.j + h2.j
-            for idx, c in coords.items():
-                out[remap[(ti, tj, idx)]] = c
-            return out
+            return {place[(ti, tj, idx)]: c
+                    for idx, c in self.product_coords(h1, h2).items()}
 
-        labels = {g: [f"h[{h.i},{h.j}]_{h.index}" for h in v]
-                  for g, v in classes_of.items()}
         return GradedAlgebraData(self.field, components, mult, weight,
                                  bound=bound, labels=labels)
 

@@ -104,9 +104,11 @@ def groebner_basis(relations, field: Field, degree_bound=None):
     or all of it.  Returns (basis, trusted_degree).
 
     Without a bound, degrees are added until the relations and every S-pair
-    of the basis found so far (of leading monomials that are not coprime)
-    lie at or below the degree reached.  Each such S-pair then reduces to
-    zero by that basis, so Buchberger's criterion holds.
+    of the basis found so far lie at or below the degree reached.  Skipped
+    are pairs of coprime leading monomials and, by the chain criterion,
+    pairs (a, b) with lcm L where some leading monomial c divides L and
+    lcm(a, c) != L != lcm(b, c).  By induction on L (those two lcms strictly
+    divide it) every S-pair then reduces to zero: Buchberger's criterion.
     """
     relations = [rel for rel in relations if rel]
     if not relations:
@@ -118,9 +120,14 @@ def groebner_basis(relations, field: Field, degree_bound=None):
     while True:
         basis = ring.groebner(d)
         lms = [leading_monomial(g) for g in basis]
-        top = max((sum(lcm) for a, b in itertools.combinations(lms, 2)
-                   if sum(lcm := mono_lcm(a, b)) < sum(a) + sum(b)), default=0)
-        if top <= d:
+        top = d
+        for a, b in itertools.combinations(lms, 2):
+            lcm = mono_lcm(a, b)
+            if top < sum(lcm) < sum(a) + sum(b) and not any(
+                    mono_divides(c, lcm) and mono_lcm(a, c) != lcm
+                    and mono_lcm(b, c) != lcm for c in lms):
+                top = sum(lcm)
+        if top == d:
             return basis, inf
         d = top
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -324,3 +328,17 @@ def test_family_ring_outside_the_family_exits_2(tmp_path, capsys, family, relati
     captured = capsys.readouterr()
     assert named in captured.err
     assert "Traceback" not in captured.err and not captured.out
+
+
+def test_package_imports_only_the_standard_library():
+    # a fresh interpreter, so modules loaded by other tests do not count
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import koszul, koszul.cli\n"
+            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout.split()
+    assert "koszul" in out
+    assert set(out) - set(sys.stdlib_module_names) == {"koszul"}

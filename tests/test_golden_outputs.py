@@ -1,7 +1,9 @@
 """Pinned CLI outputs: the sha256 of stdout and the exit code per command.
 
 The digests were recorded before the echelon classes were merged into one
-integer elimination loop; any change to a representative, a combo, a kernel
+integer elimination loop, and the squarefree monomial ``three-rel`` and
+``ci`` cases before homology classes on the multigraded route were keyed by
+multidegree; any change to a representative, a combo, a kernel
 vector or a resolution relation that reaches the output shows up here.  To
 print the digests of the current code, run
 ``PYTHONPATH=src python tests/test_golden_outputs.py``.
@@ -74,6 +76,18 @@ CASES = [
                               "--quadrics", "x*y"], None),
     ("path-6", ["family", "--family", "path", "-n", "6"], None),
     ("cycle-6", ["family", "--family", "cycle", "-n", "6"], None),
+    # squarefree monomial rings take the multigraded route, where class
+    # indices are (multidegree, k) rather than basis positions
+    ("three-rel-monomial-top-right", THREE_REL,
+     ring(["a", "b", "c", "d"], ["a*b", "a*c", "a*d"])),
+    ("three-rel-monomial-top-left", THREE_REL,
+     ring(["a", "b", "c", "d"], ["a*b", "a*c", "b*d"])),
+    ("three-rel-monomial-bottom-right", THREE_REL,
+     ring(["a", "b", "c", "d", "e"], ["a*b", "a*c", "d*e"])),
+    ("three-rel-monomial-bottom-left", THREE_REL,
+     ring(["a", "b", "c", "d", "e", "f"], ["a*b", "c*d", "e*f"])),
+    ("ci-monomial", ["family", "--family", "ci", "--variables", "a,b,c,d",
+                     "--quadrics", "a*b,c*d"], None),
 ]
 
 # name -> (exit code, sha256 of stdout)
@@ -122,6 +136,16 @@ GOLDEN = {
         (0, "b0c021e21aa0fb4cd4e5246a43ed68f28d019e3468c4847c02ce490156eb5abe"),
     "cycle-6":
         (0, "493620fab68355ad4fb005119cd04f37e276121d2c1dc4dca811dfae9ee57e1e"),
+    "three-rel-monomial-top-right":
+        (0, "46d2d5daacbbf8dc57d6d31b06b993341b9137877b8c9834226fb9a1ba936cf2"),
+    "three-rel-monomial-top-left":
+        (0, "702b81fdde6dfcbe5ee95cddcc69e35a208f4c14a31ee182adefbb2c898ed224"),
+    "three-rel-monomial-bottom-right":
+        (0, "8202920b3f6703afe810afb5d72b49c5e318760eacf3e3e408130e478de29fed"),
+    "three-rel-monomial-bottom-left":
+        (0, "a4c3b13969bbd78cf5228439e7a2b316dc5e9be3a358828d6bfbe185dc287252"),
+    "ci-monomial":
+        (0, "246d1ce604cdac538959ee43676261dd4fd3424abec248e7946691bcb2dd6cf0"),
 }
 
 

@@ -207,10 +207,9 @@ def test_string_relation_path5():
     zeta45 = H.coords_of_cycle(1, 2, {((0, 0, 0, 0, 1), (3,)): one})
 
     def as_class(i, j, coords):
-        basis = H.basis(i, j)
         rep = {}
         for idx, c in coords.items():
-            for key, v in basis[idx].representative.items():
+            for key, v in H.klass(i, j, idx).representative.items():
                 rep[key] = rep.get(key, QQ(0)) + c * v
         u = None
         if H.multigraded:
@@ -341,7 +340,48 @@ def test_coords_of_cycle_builds_only_touched_slices(make):
         cycle = dict(first.representative)
         cycle.update(last.representative)
         assert H.coords_of_cycle(i, j, cycle) == {first.index: 1, last.index: 1}
-        assert set(H._slices) == {(i, first.multidegree), (i, last.multidegree)}
+        touched = {(i, first.multidegree), (i, last.multidegree)}
+        assert set(H._slices) == touched
+        assert set(H._ranks) <= touched
         for h in classes:
             assert H.coords_of_cycle(i, j, h.representative) == {h.index: 1}
         assert set(H._slices) == {(i, h.multidegree) for h in classes}
+
+
+def test_listing_bases_builds_slices_only_where_classes_live():
+    ring = build_cycle_ring(6)
+    H = homology(ring, 6, 6)
+    classes = [h for j in range(1, 7) for i in range(1, j + 1) for h in H.basis(i, j)]
+    assert len(H._slices) == len({(h.i, h.multidegree) for h in classes}) > 0
+    for h in classes:
+        assert H.klass(h.i, h.j, h.index) is h
+
+
+def test_class_index_is_multidegree_and_place():
+    H = homology(build_path_ring(5), 5, 5)
+    for j in range(1, 6):
+        for i in range(1, j + 1):
+            for h in H.basis(i, j):
+                u, k = h.index
+                assert u == h.multidegree and sum(u) == j
+                assert H.multigraded_dim(i, u) > k >= 0
+    # labels number classes by basis position, not by index
+    labels = H.algebra_data("bigraded").labels
+    assert labels[(2, 3)] == [f"h[2,3]_{pos}" for pos in range(H.dim(2, 3))]
+    bigraded = homology(make_63ne(), 4, 5)
+    assert [h.index for h in bigraded.basis(1, 2)] == list(range(bigraded.dim(1, 2)))
+
+
+def test_coords_of_cycle_rejects_non_cycles_on_both_routes():
+    # d(x1 t1) = x1^2 on the 3-path: the part lives in the non-squarefree
+    # multidegree (2, 0, 0), where there is no slice to check it against
+    H = homology(build_path_ring(3), 3, 3)
+    assert H.multigraded
+    with pytest.raises(ValueError, match="not a cycle"):
+        H.coords_of_cycle(1, 2, {((1, 0, 0), (0,)): 1})
+    # d(x3 t3) = x3^2, nonzero modulo xy, yz, x^2 + z^2
+    ring = ring_from_strings(["x", "y", "z"], ["x*y", "y*z", "x^2 + z^2"])
+    H = homology(ring, 3, 3)
+    assert not H.multigraded
+    with pytest.raises(ValueError, match="not a cycle"):
+        H.coords_of_cycle(1, 2, {((0, 0, 1), (2,)): 1})

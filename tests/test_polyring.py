@@ -268,9 +268,18 @@ def test_resumed_groebner_matches_fresh_runs(field):
         assert len(monos) - len(ech.pivots) == ring.dim(d)
 
 
-@pytest.mark.parametrize("name", ["63ne", "generic-gf32003"])
+FULL_BASIS_RINGS = {
+    "63ne": make_63ne,
+    "generic-gf32003": lambda: generic_quadrics_ring(Field(32003), 4, 3),
+    # leading monomials xy, xz, yz: every pair has lcm xyz, which is also the
+    # lcm of the other two pairs, so no chain covers a pair; S = -z^3
+    "triangle": lambda: ring_from_strings(["x", "y", "z"], ["x*y - z^2", "x*z", "y*z"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_BASIS_RINGS))
 def test_full_groebner_basis_passes_buchberger_criterion(name):
-    ring = make_63ne() if name == "63ne" else generic_quadrics_ring(Field(32003), 4, 3)
+    ring = FULL_BASIS_RINGS[name]()
     full, trusted = groebner_basis(ring.relations, ring.field)
     assert trusted == float("inf")
     for d in (2, 3, 5):
