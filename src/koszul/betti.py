@@ -142,23 +142,17 @@ class BarEngine:
         index = {w: i for i, w in enumerate(words_q)}
         cols = []
         for w in words_p:
-            col: dict = {}
+            terms = []
             sign = 1
             for t in range(p - 1):
                 (g1, a1), (g2, a2) = w[t], w[t + 1]
                 prod = A.mult(g1, a1, g2, a2)
                 if prod:
                     g12 = add_grades(g1, g2)
-                    for x, c in prod.items():
-                        w2 = w[:t] + ((g12, x),) + w[t + 2:]
-                        pos = index[w2]
-                        acc = col.get(pos, self.field.zero) + sign * c
-                        if acc:
-                            col[pos] = acc
-                        else:
-                            del col[pos]
+                    terms += ((index[w[:t] + ((g12, x),) + w[t + 2:]], sign * c)
+                              for x, c in prod.items())
                 sign = -sign
-            cols.append(col)
+            cols.append(self.field.collect(terms))
         return cols, words_q
 
     def rank(self, p: int, grade: tuple) -> int:
@@ -200,19 +194,10 @@ class BarEngine:
         cols_q, _ = self.differential_columns(p - 1, grade)
         if not cols_q:
             return True  # the lower differential is the zero map
-        by_word = {i: col for i, col in enumerate(cols_q)}
-        for col in cols:
-            acc: dict = {}
-            for pos, c in col.items():
-                for pos2, c2 in by_word[pos].items():
-                    v = acc.get(pos2, self.field.zero) + c * c2
-                    if v:
-                        acc[pos2] = v
-                    else:
-                        del acc[pos2]
-            if acc:
-                return False
-        return True
+        collect = self.field.collect
+        return not any(collect((pos2, c * c2) for pos, c in col.items()
+                               for pos2, c2 in cols_q[pos].items())
+                       for col in cols)
 
 
 class ResolutionEngine:
@@ -252,7 +237,8 @@ class ResolutionEngine:
     @staticmethod
     def _plain(c):
         """A structure constant as a plain int where it is one (every GF(p)
-        residue and every integral rational), else as it is."""
+        element is already, and every integral rational becomes one), else
+        as it is."""
         return c.numerator if c.denominator == 1 else c
 
     def _product(self, g: tuple, a: int, g2: tuple, b: int) -> tuple:

@@ -14,7 +14,8 @@ table (rows: internal degree minus homological degree; columns: homological
 degree).
 
 Exit codes: 0 = computed and decided, 1 = an identity that must hold failed
-(internal inconsistency), 2 = usage or parse error.
+(internal inconsistency), 2 = usage or parse error, 141 = stdout was closed
+before the output was written.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -401,7 +403,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; keep the flush at exit from failing as well
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process it killed
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -117,16 +117,9 @@ def build_cycle_ring(n: int, field: Field = QQ) -> QuotientRing:
 
 def _vec_product(H: KoszulHomologyAlgebra, b1, vec1: dict, b2, vec2: dict) -> dict:
     """Product of two coordinate vectors, keyed by class index at bidegrees b1, b2."""
-    out: dict = {}
-    for a, c1 in vec1.items():
-        for b, c2 in vec2.items():
-            for x, c in H.product_coords(H.klass(*b1, a), H.klass(*b2, b)).items():
-                acc = out.get(x, H.field.zero) + c1 * c2 * c
-                if acc:
-                    out[x] = acc
-                else:
-                    del out[x]
-    return out
+    return H.field.collect(
+        (x, c1 * c2 * c) for a, c1 in vec1.items() for b, c2 in vec2.items()
+        for x, c in H.product_coords(H.klass(*b1, a), H.klass(*b2, b)).items())
 
 
 def _evaluate_word(H, gen_info, word: tuple) -> tuple:
@@ -150,22 +143,9 @@ def _evaluate_word(H, gen_info, word: tuple) -> tuple:
 
 def _relations_vanish(H, gen_info, relations) -> list:
     """Indices of relations whose evaluation in H is nonzero (should be [])."""
-    bad = []
-    for k, rel in enumerate(relations):
-        total: dict = {}
-        bideg = None
-        for word, coeff in rel.items():
-            bideg_w, vec = _evaluate_word(H, gen_info, word)
-            bideg = bideg_w
-            for x, c in vec.items():
-                acc = total.get(x, H.field.zero) + coeff * c
-                if acc:
-                    total[x] = acc
-                else:
-                    del total[x]
-        if total:
-            bad.append(k)
-    return bad
+    return [k for k, rel in enumerate(relations)
+            if H.field.collect((x, coeff * c) for word, coeff in rel.items()
+                               for x, c in _evaluate_word(H, gen_info, word)[1].items())]
 
 
 def _strand_dims(H: KoszulHomologyAlgebra, d_max: int) -> dict:
@@ -235,7 +215,7 @@ def build_quadratic_ci(n: int, quadrics, field: Field = QQ, names=None):
     # cycles sum(lambda_hij x_i t_j) for each quadric sum(lambda_hij X_i X_j)
     cycle_elements = []
     for rel in ring.relations:
-        z: dict = {}
+        terms = []
         for mono, coeff in rel.items():
             support = [k for k, e in enumerate(mono) if e]
             if len(support) == 1:
@@ -243,9 +223,8 @@ def build_quadratic_ci(n: int, quadrics, field: Field = QQ, names=None):
             else:
                 i, j = support
             xi = tuple(1 if k == i else 0 for k in range(n))
-            key = (xi, (j,))
-            z[key] = z.get(key, field.zero) + coeff
-        cycle_elements.append({k: v for k, v in z.items() if v})
+            terms.append(((xi, (j,)), coeff))
+        cycle_elements.append(field.collect(terms))
     for z in cycle_elements:
         if differential(ring, z):
             raise ValueError("complete-intersection cycle failed to be a cycle")
@@ -460,11 +439,9 @@ def short_gorenstein_certify(R: QuotientRing):
                 relations.append({(wa, za): field.one,
                                   (za, wa): field.neg(sign)})
     first = pair_polys[0]
-    for poly in pair_polys[1:]:
-        rel = dict(poly)
-        for w, cc in first.items():
-            rel[w] = rel.get(w, field.zero) - cc
-        relations.append({k: v for k, v in rel.items() if v})  # types (3)-(4)
+    for poly in pair_polys[1:]:  # types (3)-(4)
+        relations.append(field.collect(itertools.chain(
+            poly.items(), ((w, -cc) for w, cc in first.items()))))
 
     bad = _relations_vanish(H, gen_info, relations)
     rel1_ok = _check_duality_relations(pair_scalar, field.one, zeta_vectors,

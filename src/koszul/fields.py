@@ -43,47 +43,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class ModularInt(int):
-    """An element of GF(p) that stays reduced under ordinary arithmetic.
-
-    Subclassing int keeps zero-tests, equality, and hashing exact while
-    letting the rest of the code use plain ``+``/``*`` on coefficients.
-    """
-
-    def __new__(cls, value, p):
-        self = super().__new__(cls, value % p)
-        self.p = p
-        return self
-
-    def __add__(self, other):
-        return ModularInt(int(self) + int(other), self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ModularInt(int(self) - int(other), self.p)
-
-    def __rsub__(self, other):
-        return ModularInt(int(other) - int(self), self.p)
-
-    def __mul__(self, other):
-        return ModularInt(int(self) * int(other), self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ModularInt(-int(self), self.p)
-
-    def __truediv__(self, other):
-        return ModularInt(int(self) * pow(int(other), -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        return ModularInt(int(other) * pow(int(self), -1, self.p), self.p)
-
-    def __pow__(self, exponent):
-        return ModularInt(pow(int(self), exponent, self.p), self.p)
-
-
 class Field:
     """The rationals (``p == 0``) or the prime field of order ``p``."""
 
@@ -99,39 +58,71 @@ class Field:
         return self.p
 
     def __call__(self, x):
-        """Coerce an int, Fraction, or ``a/b`` string into the field."""
+        """Coerce an int, Fraction, or ``a/b`` string into the field; anything
+        else, a float included, raises TypeError."""
         if isinstance(x, str):
             num, _, den = x.partition("/")
             x = Fraction(int(num), int(den)) if den else int(num)
-        if self.p == 0:
+        elif not isinstance(x, (int, Fraction)):
+            raise TypeError(f"{self} has no element {x!r} of type {type(x).__name__}")
+        p = self.p
+        if p == 0:
             return Fraction(x)
         if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-            return ModularInt(x.numerator * pow(x.denominator, -1, self.p), self.p)
-        return ModularInt(x, self.p)
+            if x.denominator % p == 0:
+                raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+            return x.numerator * pow(x.denominator, -1, p) % p
+        return x % p
 
     @property
     def zero(self):
-        return Fraction(0) if self.p == 0 else ModularInt(0, self.p)
+        return Fraction(0) if self.p == 0 else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.p == 0 else ModularInt(1, self.p)
+        return Fraction(1) if self.p == 0 else 1
 
     def mul(self, a, b):
-        return a * b if self.p == 0 else ModularInt(int(a) * int(b), self.p)
+        return a * b % self.p if self.p else a * b
 
     def neg(self, a):
-        return -a if self.p == 0 else ModularInt(-int(a), self.p)
+        return -a % self.p if self.p else -a
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.p == 0 else ModularInt(pow(int(a), -1, self.p), self.p)
+        return pow(a, -1, self.p) if self.p else 1 / Fraction(a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def collect(self, terms) -> dict:
+        """Sum ``(key, value)`` pairs into a sparse vector over the field.
+
+        A value may be any int expression in field elements (a product, a
+        negation); each sum is reduced into the field: ``% p`` over GF(p), a
+        Fraction over QQ.  A key whose sum reaches zero is dropped at once,
+        so a key that cancels and comes back moves to the end.
+        """
+        out: dict = {}
+        get = out.get
+        p = self.p
+        if p:
+            for k, v in terms:
+                w = (get(k, 0) + v) % p
+                if w:
+                    out[k] = w
+                else:
+                    out.pop(k, None)
+        else:
+            zero = Fraction(0)
+            for k, v in terms:
+                w = get(k, zero) + v
+                if w:
+                    out[k] = w
+                else:
+                    out.pop(k, None)
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p

@@ -13,6 +13,7 @@ in every degree force them to be a basis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .fields import Field
@@ -70,16 +71,8 @@ class FreeAlgebra:
         return {w: self.field.mul(inv, c) for w, c in p.items()}
 
     def mul(self, p: dict, q: dict) -> dict:
-        out: dict = {}
-        for w1, c1 in p.items():
-            for w2, c2 in q.items():
-                w = w1 + w2
-                acc = out.get(w, self.field.zero) + c1 * c2
-                if acc:
-                    out[w] = acc
-                else:
-                    del out[w]
-        return out
+        return self.field.collect((w1 + w2, c1 * c2)
+                                  for w1, c1 in p.items() for w2, c2 in q.items())
 
     def is_homogeneous(self, p: dict) -> bool:
         return len({self.word_degree(w) for w in p}) <= 1
@@ -178,7 +171,7 @@ class ReductionSystem:
                 if w2 == lw:
                     continue
                 w3 = left + w2 + right
-                acc = work.get(w3, field.zero) - c * c2
+                acc = field(work.get(w3, 0) - c * c2)
                 if acc:
                     work[w3] = acc
                 else:
@@ -302,14 +295,9 @@ def overlap_completion(gens, d_max: int, algebra: FreeAlgebra) -> ReductionSyste
                         continue
                     left = {lw1[:len(lw1) - k]: algebra.field.one}
                     right = {lw2[k:]: algebra.field.one}
-                    s = {w: algebra.field.neg(c)
-                         for w, c in algebra.mul(left, elems[i2]).items()}
-                    for w, c in algebra.mul(elems[i1], right).items():
-                        acc = s.get(w, algebra.field.zero) + c
-                        if acc:
-                            s[w] = acc
-                        else:
-                            s.pop(w, None)
+                    s = algebra.field.collect(itertools.chain(
+                        ((w, -c) for w, c in algebra.mul(left, elems[i2]).items()),
+                        algebra.mul(elems[i1], right).items()))
                     s = system.reduce(s)
                     if s:
                         queue.append(s)

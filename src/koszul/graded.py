@@ -27,14 +27,12 @@ class GradedAlgebraData:
     maps grades to positive ints and bounds the trusted range.
     """
 
-    def __init__(self, field: Field, components: dict, mult, weight,
-                 bound, labels=None):
+    def __init__(self, field: Field, components: dict, mult, weight, bound):
         self.field = field
         self.components = {g: d for g, d in components.items() if d}
         self._mult = mult
         self._weight = weight
         self.bound = bound
-        self.labels = labels
         self._memo: dict = {}
         for g, d in self.components.items():
             if weight(g) <= 0:
@@ -60,21 +58,9 @@ class GradedAlgebraData:
         return hit
 
     def mult_vec(self, g1: tuple, vec1: dict, g2: tuple, vec2: dict) -> dict:
-        out: dict = {}
-        for a, c1 in vec1.items():
-            for b, c2 in vec2.items():
-                for x, c in self.mult(g1, a, g2, b).items():
-                    acc = out.get(x, self.field.zero) + c1 * c2 * c
-                    if acc:
-                        out[x] = acc
-                    else:
-                        del out[x]
-        return out
-
-    def label(self, grade: tuple, index: int) -> str:
-        if self.labels and grade in self.labels:
-            return self.labels[grade][index]
-        return f"a{self.weight(grade)}_{index}"
+        return self.field.collect((x, c1 * c2 * c) for a, c1 in vec1.items()
+                                  for b, c2 in vec2.items()
+                                  for x, c in self.mult(g1, a, g2, b).items())
 
 
 def ring_algebra_data(ring, weight_max: int) -> GradedAlgebraData:
@@ -92,11 +78,8 @@ def ring_algebra_data(ring, weight_max: int) -> GradedAlgebraData:
         index = ring.basis_index(d1 + d2)
         return {index[m]: c for m, c in ring.mono_product(m1, m2).items()}
 
-    from .polyring import poly_to_string
-    labels = {g: [poly_to_string({m: 1}, ring.names) for m in ring.std_monomials(g[0])]
-              for g in components}
     return GradedAlgebraData(ring.field, components, mult, lambda g: g[0],
-                             bound=weight_max, labels=labels)
+                             bound=weight_max)
 
 
 def strand_totalize(H) -> GradedAlgebraData:
@@ -176,5 +159,5 @@ def present(A: GradedAlgebraData, d_max: int, gen_names=None) -> NCPresentation:
             if relation is not None:
                 # w evaluates into the span of smaller words: a monic relation
                 inv = F.inv(F(relation[w]))
-                relations.append({t: F(c) * inv for t, c in relation.items()})
+                relations.append({t: F.mul(F(c), inv) for t, c in relation.items()})
     return NCPresentation(algebra, list(range(len(gens))), relations)

@@ -61,28 +61,20 @@ def differential_of_basis(ring: QuotientRing, v: tuple, w: tuple) -> dict:
 
     Each term drops a different index from w, so no two terms share a key.
     """
+    neg = ring.field.neg
     out: dict = {}
     for p, wp in enumerate(w):
         unit = (0,) * wp + (1,) + (0,) * (ring.n - wp - 1)
         rest = w[:p] + w[p + 1:]
         for m, c in ring.mono_product(v, unit).items():
-            out[(m, rest)] = -c if p % 2 else c
+            out[(m, rest)] = neg(c) if p % 2 else c
     return out
 
 
 def differential(ring: QuotientRing, element: dict) -> dict:
     """Differential of a Koszul element given as dict (v, w) -> coefficient."""
-    out: dict = {}
-    for (v, w), c in element.items():
-        if not c:
-            continue
-        for key, d in differential_of_basis(ring, v, w).items():
-            acc = out.get(key, ring.field.zero) + c * d
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return out
+    return ring.field.collect((key, c * d) for (v, w), c in element.items() if c
+                              for key, d in differential_of_basis(ring, v, w).items())
 
 
 @dataclass(frozen=True)
@@ -345,7 +337,7 @@ class KoszulHomologyAlgebra:
 
     def multiply_elements(self, e1: dict, e2: dict) -> dict:
         """Product in the Koszul complex with exterior signs, ring parts reduced."""
-        out: dict = {}
+        terms = []
         for (v1, w1), c1 in e1.items():
             s1 = set(w1)
             for (v2, w2), c2 in e2.items():
@@ -354,14 +346,9 @@ class KoszulHomologyAlgebra:
                 inversions = sum(1 for a in w1 for b in w2 if a > b)
                 sign = -1 if inversions % 2 else 1
                 merged = tuple(sorted(w1 + w2))
-                for m, cm in self.ring.mono_product(v1, v2).items():
-                    key = (m, merged)
-                    acc = out.get(key, self.field.zero) + sign * c1 * c2 * cm
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        return out
+                terms += (((m, merged), sign * c1 * c2 * cm)
+                          for m, cm in self.ring.mono_product(v1, v2).items())
+        return self.field.collect(terms)
 
     def product_coords(self, h1: HomologyClass, h2: HomologyClass) -> dict:
         """Coordinates of [h1][h2] in the basis of its target bidegree."""
@@ -404,11 +391,10 @@ class KoszulHomologyAlgebra:
         # grade -> classes in component order; within a strand, j ascends
         # with i, so classes come ordered by (i, j, position)
         classes_of: dict = {}
-        labels: dict = {}
         place: dict = {}   # (i, j, index) -> position in its component
         for j in range(1, self.j_max + 1):
             for i in range(1, min(j, self.i_max) + 1):
-                for pos, h in enumerate(self.basis(i, j)):
+                for h in self.basis(i, j):
                     if mode == "bigraded":
                         grade = (i, j)
                     elif mode == "strand":
@@ -418,7 +404,6 @@ class KoszulHomologyAlgebra:
                     component = classes_of.setdefault(grade, [])
                     place[(i, j, h.index)] = len(component)
                     component.append(h)
-                    labels.setdefault(grade, []).append(f"h[{i},{j}]_{pos}")
         components = {g: len(v) for g, v in classes_of.items()}
 
         def weight(grade):
@@ -445,8 +430,7 @@ class KoszulHomologyAlgebra:
             return {place[(ti, tj, idx)]: c
                     for idx, c in self.product_coords(h1, h2).items()}
 
-        return GradedAlgebraData(self.field, components, mult, weight,
-                                 bound=bound, labels=labels)
+        return GradedAlgebraData(self.field, components, mult, weight, bound=bound)
 
 
 def homology(ring: QuotientRing, i_max: int, j_max: int) -> KoszulHomologyAlgebra:

@@ -57,17 +57,9 @@ def _shift(m: Monomial, k: int, step: int) -> Monomial:
     return m[:k] + (m[k] + step,) + m[k + 1:]
 
 
-def poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = mono_mul(m1, m2)
-            w = out.get(m, 0) + c1 * c2
-            if w:
-                out[m] = w
-            else:
-                del out[m]
-    return out
+def poly_mul(p: dict, q: dict, field: Field = QQ) -> dict:
+    return field.collect((mono_mul(m1, m2), c1 * c2)
+                         for m1, c1 in p.items() for m2, c2 in q.items())
 
 
 def leading_monomial(p: dict) -> Monomial:
@@ -87,15 +79,8 @@ def poly_degree(p: dict) -> int:
 
 def normal_form(p: dict, monomial_nf, field: Field) -> dict:
     """The sum of ``c * monomial_nf(m)`` over the terms of p."""
-    out: dict = {}
-    for m, c in p.items():
-        for m2, c2 in monomial_nf(m).items():
-            w = out.get(m2, field.zero) + c * c2
-            if w:
-                out[m2] = w
-            else:
-                out.pop(m2, None)
-    return out
+    return field.collect((m2, c * c2) for m, c in p.items()
+                         for m2, c2 in monomial_nf(m).items())
 
 
 def groebner_basis(relations, field: Field, degree_bound=None):
@@ -209,22 +194,16 @@ class QuotientRing:
 
     def _into(self, p: dict, index: dict) -> dict:
         """phi(p) for a polynomial p of degree d: its W_d coordinates."""
-        out: dict = {}
+        terms = []
         for m, c in p.items():
             pos = index.get(m)
             if pos is not None:
-                terms = ((pos, c),)
+                terms.append((pos, c))
             else:
                 k = next(k for k, e in enumerate(m) if e)
-                terms = ((index[_shift(s, k, 1)], c * c2)
-                         for s, c2 in self._monomial_nf(_shift(m, k, -1)).items())
-            for pos, v in terms:
-                w = out.get(pos, 0) + v
-                if w:
-                    out[pos] = w
-                else:
-                    out.pop(pos, None)
-        return out
+                terms += ((index[_shift(s, k, 1)], c * c2)
+                          for s, c2 in self._monomial_nf(_shift(m, k, -1)).items())
+        return self.field.collect(terms)
 
     def _monomial_nf(self, m: Monomial) -> dict:
         """Normal form of one monomial, descending grevlex, memoized."""
@@ -242,7 +221,8 @@ class QuotientRing:
 
     def groebner(self, degree: int) -> list[dict]:
         """The reduced Groebner basis elements of degree <= ``degree``."""
-        one = self.field.one
+        F = self.field
+        one = F.one
         if self.is_monomial:
             return [{m: one} for m in self._lms if sum(m) <= degree]
         out = []
@@ -252,7 +232,7 @@ class QuotientRing:
                 minimal = [monos[pos] for pos in sorted(ech.pivots, reverse=True)
                            if all(self.is_standard(_shift(monos[pos], k, -1))
                                   for k, e in enumerate(monos[pos]) if e)]
-                self._gb[d] = [{m: one} | {s: -c for s, c in self._monomial_nf(m).items()}
+                self._gb[d] = [{m: one} | {s: F.neg(c) for s, c in self._monomial_nf(m).items()}
                                for m in minimal]
             out += self._gb[d]
         return out
@@ -298,7 +278,7 @@ class QuotientRing:
         return normal_form(p, self._monomial_nf, self.field)
 
     def multiply_mod(self, a: dict, b: dict) -> dict:
-        return self.normal_form(poly_mul(a, b))
+        return self.normal_form(poly_mul(a, b, self.field))
 
     def mono_product(self, a: Monomial, b: Monomial) -> dict:
         """Normal form of the product of two monomials, cached."""
@@ -408,19 +388,14 @@ def parse_polynomial(text: str, names, field: Field = QQ) -> dict:
             mono = mono_mul(mono, m2)
         return coeff, mono
 
-    poly: dict = {}
+    terms = []
     sign = field.one
     if peek()[0] in ("+", "-"):
         if take(peek()[0])[0] == "-":
             sign = field.neg(sign)
     while True:
         coeff, mono = parse_term()
-        coeff = field.mul(sign, coeff)
-        w = poly.get(mono, field.zero) + coeff
-        if w:
-            poly[mono] = w
-        else:
-            poly.pop(mono, None)
+        terms.append((mono, field.mul(sign, coeff)))
         kind, _, at = peek()
         if kind is None:
             break
@@ -432,7 +407,7 @@ def parse_polynomial(text: str, names, field: Field = QQ) -> dict:
             sign = field.neg(field.one)
         else:
             raise ParseError(f"expected '+' or '-'", at)
-    return poly
+    return field.collect(terms)
 
 
 def poly_to_string(p: dict, names) -> str:

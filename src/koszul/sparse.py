@@ -56,12 +56,8 @@ class SparseMatrix:
         return cols
 
     def mul_vec(self, x: dict) -> dict:
-        out: dict = {}
-        for (r, c), v in self.entries.items():
-            xc = x.get(c)
-            if xc:
-                out[r] = out.get(r, self.field.zero) + v * xc
-        return {r: v for r, v in out.items() if v}
+        return self.field.collect((r, v * xc) for (r, c), v in self.entries.items()
+                                  if (xc := x.get(c)))
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.nrows == other.nrows
@@ -130,7 +126,7 @@ class IntEchelon:
         """``col`` as an int vector, and the factor it was scaled by."""
         p = self.p
         if p:
-            return {k: r for k, v in col.items() if (r := int(v) % p)}, 1
+            return {k: r for k, v in col.items() if (r := v % p)}, 1
         for v in col.values():
             if type(v) is not int:
                 break
@@ -270,7 +266,7 @@ class FieldEchelon(IntEchelon):
         if scale == 1:
             return {k: x for k, v in vec.items() if (x := F(v))}
         inv = F.inv(F(scale))
-        return {k: x for k, v in vec.items() if (x := F(v) * inv)}
+        return {k: x for k, v in vec.items() if (x := F.mul(F(v), inv))}
 
     def _reduced(self, col: dict) -> tuple:
         """Full reduction of ``col``: ``(lead, vec, combo)``; ``combo[_COL]``
@@ -376,11 +372,11 @@ def diagonalize_symmetric_form(g: SparseMatrix) -> SparseMatrix:
     def col_op(dst, src, c):
         # e_dst <- e_dst + c * e_src, applied to G (congruence) and P
         for r in range(n):
-            G[r][dst] += c * G[r][src]
+            G[r][dst] = field(G[r][dst] + c * G[r][src])
         for r in range(n):
-            G[dst][r] += c * G[src][r]
+            G[dst][r] = field(G[dst][r] + c * G[src][r])
         for r in range(n):
-            P[r][dst] += c * P[r][src]
+            P[r][dst] = field(P[r][dst] + c * P[r][src])
 
     def col_swap(a, b):
         for r in range(n):
@@ -428,13 +424,8 @@ def symplectic_basis(g: SparseMatrix) -> SparseMatrix:
         raise ValueError("alternating nondegenerate form needs even rank")
 
     def pair(u, v):
-        total = field.zero
-        for i, ui in enumerate(u):
-            if ui:
-                for j, gij in enumerate(G[i]):
-                    if gij and v[j]:
-                        total += ui * gij * v[j]
-        return total
+        return field(sum(ui * gij * v[j] for i, ui in enumerate(u) if ui
+                         for j, gij in enumerate(G[i]) if gij and v[j]))
 
     basis = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
     out = []
@@ -450,7 +441,7 @@ def symplectic_basis(g: SparseMatrix) -> SparseMatrix:
         for v in basis:
             cf, ce = pair(e, v), pair(f, v)
             # subtract components along the (e, f) hyperbolic plane
-            w = [v[i] - cf * f[i] + ce * e[i] for i in range(n)]
+            w = [field(v[i] - cf * f[i] + ce * e[i]) for i in range(n)]
             reduced.append(w)
         basis = reduced
         out.append(e)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +31,14 @@ def generic_quadrics_ring(field=QQ, n=5, m=5, seed=0):
                   for _ in monomials]
         relations.append({mono: c for mono, c in zip(monomials, coeffs) if c})
     return QuotientRing(n, relations, field)
+
+
+def in_field(values, field) -> bool:
+    """True iff every value is a field element in its normal form: a
+    Fraction over QQ, a plain int in range(p) over GF(p)."""
+    if field.p:
+        return all(type(v) is int and 0 <= v < field.p for v in values)
+    return all(type(v) is Fraction for v in values)
 
 
 @pytest.fixture(scope="session")

@@ -330,6 +330,21 @@ def test_family_ring_outside_the_family_exits_2(tmp_path, capsys, family, relati
     assert "Traceback" not in captured.err and not captured.out
 
 
+def test_closed_stdout_exits_141_without_traceback():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "koszul.cli", "family", "--family", "path", "-n", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
 def test_package_imports_only_the_standard_library():
     # a fresh interpreter, so modules loaded by other tests do not count
     src = Path(__file__).resolve().parent.parent / "src"

@@ -11,7 +11,7 @@ from koszul.homology import (HomologyClass, differential, differential_of_basis,
                              homology, koszul_basis, koszul_basis_multigraded,
                              multigraded_homology)
 
-from conftest import generic_quadrics_ring, make_63ne, ring_from_strings
+from conftest import generic_quadrics_ring, in_field, make_63ne, ring_from_strings
 from oracles import dense_homology_dim
 
 
@@ -80,6 +80,22 @@ def test_ci_exterior_dims_and_products():
     assert list(prod.values()) != [] and len(H.basis(2, 4)) == 1
     assert H.product_coords(z1, z1) == {}
     assert H.product_coords(z2, z2) == {}
+
+
+def test_gf5_coordinates_are_residues():
+    F5 = Field(5)
+    H = homology(make_63ne(F5), 4, 5)
+    classes = H.basis(1, 2) + H.basis(1, 3)
+    nonzero = 0
+    for h in classes:
+        assert in_field(h.representative.values(), F5)
+        assert H.coords_of_cycle(h.i, h.j, h.representative) == {h.index: 1}
+        for h2 in classes:
+            if h.j + h2.j <= 5:
+                coords = H.product_coords(h, h2)
+                assert in_field(coords.values(), F5)
+                nonzero += bool(coords)
+    assert nonzero
 
 
 def test_63ne_dims_table_vs_dense_oracle():
@@ -365,9 +381,19 @@ def test_class_index_is_multidegree_and_place():
                 u, k = h.index
                 assert u == h.multidegree and sum(u) == j
                 assert H.multigraded_dim(i, u) > k >= 0
-    # labels number classes by basis position, not by index
-    labels = H.algebra_data("bigraded").labels
-    assert labels[(2, 3)] == [f"h[2,3]_{pos}" for pos in range(H.dim(2, 3))]
+    # the Tor engines' data keys a product by basis position, not by index
+    A = H.algebra_data("bigraded")
+    nonzero = 0
+    for b1, b2 in (((1, 2), (1, 2)), ((1, 2), (2, 3))):
+        position = {h.index: pos for pos, h in
+                    enumerate(H.basis(b1[0] + b2[0], b1[1] + b2[1]))}
+        for a, h1 in enumerate(H.basis(*b1)):
+            for b, h2 in enumerate(H.basis(*b2)):
+                coords = H.product_coords(h1, h2)
+                assert A.mult(b1, a, b2, b) == {position[idx]: c
+                                                for idx, c in coords.items()}
+                nonzero += bool(coords)
+    assert nonzero
     bigraded = homology(make_63ne(), 4, 5)
     assert [h.index for h in bigraded.basis(1, 2)] == list(range(bigraded.dim(1, 2)))
 

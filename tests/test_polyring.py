@@ -11,15 +11,12 @@ from koszul.polyring import (ParseError, grevlex_key, groebner_basis,
                              leading_monomial, mono_divides, mono_lcm, mono_mul,
                              poly_degree, poly_mul)
 
-from conftest import generic_quadrics_ring, make_63ne, ring_from_strings
+from conftest import generic_quadrics_ring, in_field, make_63ne, ring_from_strings
 from oracles import dense_rank_kernel, macaulay_columns, monomials_of_degree
 
 
-def poly_add(p, q):
-    out = dict(p)
-    for m, c in q.items():
-        out[m] = out.get(m, 0) + c
-    return {m: c for m, c in out.items() if c}
+def poly_add(p, q, field=QQ):
+    return field.collect(itertools.chain(p.items(), q.items()))
 
 
 def mono_div(a, b):
@@ -128,7 +125,7 @@ def test_normal_form_idempotent_and_difference_in_ideal():
     assert ring.contains(difference)
 
 
-def _divide(f, basis):
+def _divide(f, basis, field=QQ):
     """Division by the basis, largest term first: (quotients, remainder)."""
     work = dict(f)
     quotients = [dict() for _ in basis]
@@ -140,12 +137,12 @@ def _divide(f, basis):
             lm = leading_monomial(g)
             if mono_divides(lm, m):
                 shift = mono_div(m, lm)
-                quotients[k][shift] = quotients[k].get(shift, 0) + c
+                quotients[k][shift] = field(quotients[k].get(shift, 0) + c)
                 for m2, c2 in g.items():
                     if m2 == lm:
                         continue
                     m3 = mono_mul(m2, shift)
-                    acc = work.get(m3, 0) - c * c2
+                    acc = field(work.get(m3, 0) - c * c2)
                     if acc:
                         work[m3] = acc
                     else:
@@ -290,8 +287,9 @@ def test_full_groebner_basis_passes_buchberger_criterion(name):
         a, b = leading_monomial(g), leading_monomial(h)
         lcm = mono_lcm(a, b)
         s = poly_add({mono_mul(m, mono_div(lcm, a)): c for m, c in g.items()},
-                     {mono_mul(m, mono_div(lcm, b)): -c for m, c in h.items()})
-        assert _divide(s, full)[1] == {}
+                     {mono_mul(m, mono_div(lcm, b)): -c for m, c in h.items()},
+                     ring.field)
+        assert _divide(s, full, ring.field)[1] == {}
 
 
 def test_monomial_relations_give_monic_minimal_basis():
@@ -308,6 +306,19 @@ def test_relations_vanishing_in_the_field():
     assert ring.relations == [{(1, 1): 1}] and ring.is_monomial
     assert ring.std_monomials(2) == ((0, 2), (2, 0))
     assert ring.normal_form({(1, 1): 1, (2, 0): 3}) == {(2, 0): 3}
+
+
+def test_fields_reject_floats():
+    for field in (QQ, Field(5)):
+        with pytest.raises(TypeError):
+            field(2.5)
+        with pytest.raises(TypeError):
+            field(0.1)
+        assert field("5/2") == field(Fraction(5, 2))
+    assert Field(5)(Fraction(5, 2)) == 0 and Field(5)(-3) == 2
+    assert type(QQ.inv(2)) is Fraction and QQ.div(1, 2) == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        QuotientRing(2, [{(2, 0): 2.5, (1, 1): 1}], Field(5))
 
 
 @st.composite
@@ -339,11 +350,14 @@ def test_quotient_ring_matches_macaulay_oracle(ideal):
         differences = []
         for m in monos:
             nf = ring.normal_form({m: 1})
-            assert set(nf) <= standard
+            assert set(nf) <= standard and in_field(nf.values(), ring.field)
             differences.append(poly_add({index[m]: 1},
-                                        {index[s]: -c for s, c in nf.items()}))
+                                        {index[s]: -c for s, c in nf.items()},
+                                        ring.field))
         # every M - NF(M) lies in the span of the multiples
         assert dense_rank_kernel(multiples + differences, len(monos), p)[0] == rank
+    basis, _ = groebner_basis(relations, ring.field, 6)
+    assert all(in_field(g.values(), ring.field) for g in basis)
 
 
 def test_field_orders_decided_by_miller_rabin():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from koszul.sparse import (FieldEchelon, SparseMatrix, diagonalize_symmetric_for
 from koszul.homology import koszul_basis, differential_of_basis
 from koszul.families import build_path_ring
 
+from conftest import in_field
 from oracles import dense_rank_kernel
 
 
@@ -192,6 +194,7 @@ def test_rank_nullity_prime_fields(data, p):
     assert rank == dense_rank_kernel(fcols, nrows, p)[0]
     assert rank + len(kernel) == len(fcols)
     for vec in kernel:
+        assert in_field(vec.values(), field)
         combined = {}
         for j, c in vec.items():
             for r, v in fcols[j].items():
@@ -258,13 +261,11 @@ def test_field_echelon_coordinates_property(p, boundary, tagged, probes):
     for col in tagged + probes:
         residual, combo = ech.reduce(col)
         assert not any(pos in ech.pivots for pos in residual)
-        diff = {r: field(v) for r, v in col.items()}
-        for r, v in residual.items():
-            diff[r] = diff.get(r, field.zero) - v
-        for t, c in combo.items():
-            for r, v in columns[t].items():
-                diff[r] = diff.get(r, field.zero) - c * v
-        diff = {r: v for r, v in diff.items() if v}
+        assert in_field([*residual.values(), *combo.values()], field)
+        diff = field.collect(itertools.chain(
+            ((r, field(v)) for r, v in col.items()),
+            ((r, -v) for r, v in residual.items()),
+            ((r, -c * v) for t, c in combo.items() for r, v in columns[t].items())))
         assert dense_rank_kernel(boundary + [diff], nrows, p)[0] == boundary_rank
 
 
