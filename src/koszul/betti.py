@@ -142,17 +142,18 @@ class BarEngine:
         index = {w: i for i, w in enumerate(words_q)}
         cols = []
         for w in words_p:
-            terms = []
+            col: dict = {}
             sign = 1
             for t in range(p - 1):
                 (g1, a1), (g2, a2) = w[t], w[t + 1]
                 prod = A.mult(g1, a1, g2, a2)
                 if prod:
                     g12 = add_grades(g1, g2)
-                    terms += ((index[w[:t] + ((g12, x),) + w[t + 2:]], sign * c)
-                              for x, c in prod.items())
+                    for x, c in prod.items():
+                        key = index[w[:t] + ((g12, x),) + w[t + 2:]]
+                        col[key] = col.get(key, 0) + sign * c
                 sign = -sign
-            cols.append(self.field.collect(terms))
+            cols.append({key: v for key, v in col.items() if v})
         return cols, words_q
 
     def rank(self, p: int, grade: tuple) -> int:
@@ -218,9 +219,8 @@ class ResolutionEngine:
     step reads.  So each grade costs one elimination per step.
 
     Arithmetic runs on plain ints, through one ``IntEchelon`` per grade and
-    step, for QQ and GF(p) alike.  Structure constants become ints where they
-    are integral (every residue is); an image column that keeps a
-    non-integral entry is scaled to integers as it enters the echelon.
+    step, for QQ and GF(p) alike; an image column that keeps a non-integral
+    structure constant is scaled to integers as it enters the echelon.
     Cycles are its relations: primitive integer vectors over QQ, residues
     normalized to 1 at their own column over GF(p).
     """
@@ -231,25 +231,7 @@ class ResolutionEngine:
         self.zero = _zero_grade(A)
         self.gens: list = [[self.zero]]   # gens[p]: grades of the generators of F_p
         self._components = sorted(((A.weight(g), g) for g in A.components))
-        self._products: dict = {}
         self._splits: dict = {}
-
-    @staticmethod
-    def _plain(c):
-        """A structure constant as a plain int where it is one (every GF(p)
-        element is already, and every integral rational becomes one), else
-        as it is."""
-        return c.numerator if c.denominator == 1 else c
-
-    def _product(self, g: tuple, a: int, g2: tuple, b: int) -> tuple:
-        """A.mult with its structure constants made plain, once per product."""
-        key = (g, a, g2, b)
-        hit = self._products.get(key)
-        if hit is None:
-            hit = tuple((x, self._plain(c))
-                        for x, c in self.A.mult(g, a, g2, b).items())
-            self._products[key] = hit
-        return hit
 
     def _act(self, g: tuple, a: int, vec: dict) -> dict:
         """Basis element a of A_g times a module element."""
@@ -260,7 +242,7 @@ class ResolutionEngine:
                 out[key] = out.get(key, 0) + c
                 continue
             g12 = add_grades(g, g2)
-            for x, cx in self._product(g, a, g2, b):
+            for x, cx in self.A.mult(g, a, g2, b).items():
                 key = (k2, g12, x)
                 out[key] = out.get(key, 0) + c * cx
         return {key: v for key, v in out.items() if v}

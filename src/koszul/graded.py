@@ -23,8 +23,11 @@ class GradedAlgebraData:
 
     ``components`` maps a tuple grade to the dimension of that piece of the
     augmentation ideal; ``mult(g1, a, g2, b)`` returns the product of basis
-    elements as a dict ``index -> coefficient`` in grade g1 + g2.  ``weight``
-    maps grades to positive ints and bounds the trusted range.
+    elements as a dict ``index -> coefficient`` in grade g1 + g2, memoized.
+    Structure constants come out as plain ints where they are integral (every
+    GF(p) residue is); only a non-integral rational stays a Fraction, so the
+    Tor engines can sum them on plain ints.  ``weight`` maps grades to
+    positive ints and bounds the trusted range.
     """
 
     def __init__(self, field: Field, components: dict, mult, weight, bound):
@@ -53,7 +56,8 @@ class GradedAlgebraData:
         key = (g1, a, g2, b)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._mult(g1, a, g2, b)
+            hit = {x: c.numerator if c.denominator == 1 else c
+                   for x, c in self._mult(g1, a, g2, b).items()}
             self._memo[key] = hit
         return hit
 

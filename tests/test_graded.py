@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -136,6 +137,44 @@ def test_ring_algebra_data_structure_constants():
     z = idx1[(0, 0, 1, 0)]
     uu = idx2[(0, 0, 0, 2)]
     assert A.mult((1,), x, (1,), z) == {uu: -1}
+
+
+def _all_products(ring, A, d_max):
+    """Every product of standard monomials up to degree d_max: A.mult beside
+    the quotient ring's own coefficients, reindexed the same way."""
+    for d1 in range(1, d_max):
+        for d2 in range(1, d_max - d1 + 1):
+            index = ring.basis_index(d1 + d2)
+            for a, m1 in enumerate(ring.std_monomials(d1)):
+                for b, m2 in enumerate(ring.std_monomials(d2)):
+                    raw = {index[m]: c for m, c in ring.mono_product(m1, m2).items()}
+                    yield A.mult((d1,), a, (d2,), b), raw
+
+
+def test_structure_constants_are_plain_ints_where_integral():
+    ring = make_63ne()
+    A = ring_algebra_data(ring, 6)
+    seen = 0
+    for prod, raw in _all_products(ring, A, 6):
+        assert prod == raw
+        assert all(type(c) is int for c in prod.values())
+        seen += len(prod)
+    assert seen
+
+
+def test_non_integral_structure_constants_stay_fractions():
+    ring = ring_from_strings(["x", "y", "z"], ["x^2 - 1/2*y*z", "y^2 + 2/3*x*z"])
+    A = ring_algebra_data(ring, 6)
+    fractions = 0
+    for prod, raw in _all_products(ring, A, 6):
+        assert prod == raw
+        for x, c in prod.items():
+            if raw[x].denominator == 1:
+                assert type(c) is int
+            else:
+                assert type(c) is Fraction and c == raw[x]
+                fractions += 1
+    assert fractions
 
 
 def test_bound_violations_raise():
