@@ -133,7 +133,14 @@ class BarEngine:
         return len(self.words(p, grade))
 
     def differential_columns(self, p: int, grade: tuple):
-        """Columns of d_p on the (p, grade) slice, over the (p-1, grade) basis."""
+        """Columns of d_p on the (p, grade) slice, over the (p-1, grade) basis.
+
+        No target word occurs twice in one column: merging at position t
+        gives that position weight w_t + w_{t+1}, while merging later leaves
+        it at w_t, and weights are positive.  So each entry is one signed
+        structure constant, nonzero as ``A.mult`` returns it (over GF(p) an
+        unreduced int, never a multiple of p), and nothing is summed.
+        """
         A = self.A
         words_p = self.words(p, grade)
         if p <= 1 or not words_p:
@@ -150,10 +157,9 @@ class BarEngine:
                 if prod:
                     g12 = add_grades(g1, g2)
                     for x, c in prod.items():
-                        key = index[w[:t] + ((g12, x),) + w[t + 2:]]
-                        col[key] = col.get(key, 0) + sign * c
+                        col[index[w[:t] + ((g12, x),) + w[t + 2:]]] = sign * c
                 sign = -sign
-            cols.append({key: v for key, v in col.items() if v})
+            cols.append(col)
         return cols, words_q
 
     def rank(self, p: int, grade: tuple) -> int:
@@ -445,11 +451,9 @@ class Verdict:
 
 
 def is_koszul_up_to(A: GradedAlgebraData, p_max: int, weight_max: int,
-                    engine: str = "auto",
-                    table: BettiTable | None = None) -> Verdict:
+                    engine: str = "auto") -> Verdict:
     """Diagonality of beta_{p,q} for single-degree grades, up to the bounds."""
-    if table is None:
-        table = betti_table(A, p_max, weight_max, engine=engine)
+    table = betti_table(A, p_max, weight_max, engine=engine)
     bound = {"p_max": p_max, "weight_max": weight_max}
     for (p, g), v in table.items():
         q = g[0] if g else 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -151,6 +152,8 @@ def emit(document: dict, fmt: str, table_entries: dict | None = None) -> None:
 
 def cmd_homology(args) -> int:
     ring, digest = load_ring(args.ring, args.field)
+    if args.multigraded and not ring.is_squarefree_monomial:
+        raise UsageError("--multigraded needs a squarefree monomial defining ideal")
     i_max = args.max_hom if args.max_hom is not None else ring.n
     j_max = args.max_int if args.max_int is not None else ring.n + 2
     started = time.perf_counter()
@@ -158,20 +161,16 @@ def cmd_homology(args) -> int:
     dims = H.dims()
     tables = {"homology_dims": {f"{i},{j}": d for (i, j), d in sorted(dims.items())}}
     if args.multigraded:
-        if not ring.is_monomial:
-            raise UsageError("--multigraded needs a monomial defining ideal")
-        from .homology import multigraded_homology
-        import itertools as it
+        # per squarefree multidegree u, read from the ranks H already holds
         mg = {}
-        for j in range(j_max + 1):
-            for support in it.combinations(range(ring.n), j):
+        for j in range(1, min(j_max, ring.n) + 1):
+            for support in itertools.combinations(range(ring.n), j):
                 u = tuple(1 if k in support else 0 for k in range(ring.n))
-                mdims, _ = multigraded_homology(ring, u)
-                mdims = {i: d for i, d in mdims.items() if i <= i_max}
-                if mdims and any(u):
+                mdims = {str(i): d for i in range(1, min(j, H.i_max) + 1)
+                         if (d := H.multigraded_dim(i, u))}
+                if mdims:
                     mg["(" + ",".join(map(str, u)) + ")"] = mdims
-        tables["multigraded_dims"] = {u: {str(i): d for i, d in sorted(v.items())}
-                                      for u, v in sorted(mg.items())}
+        tables["multigraded_dims"] = dict(sorted(mg.items()))
     elapsed = round(time.perf_counter() - started, 3) if args.timing else None
     doc = result_document("homology", digest,
                           {"max_hom": i_max, "max_int": j_max},
@@ -327,20 +326,15 @@ def cmd_family(args) -> int:
     return 0 if cert.verdict.status != "INCONSISTENT" else 1
 
 
-def _bounded_int(least: int):
-    """An argparse type: an int no smaller than ``least``."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
-        return value
-    return parse
-
-
-NONNEGATIVE = _bounded_int(0)
+def _nonnegative(text: str) -> int:
+    """An argparse type: an int no smaller than 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,9 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--field", default=None,
                        help='override the ring document field: "QQ" or "F<p>"')
-        p.add_argument("--jobs", type=_bounded_int(1), default=1,
-                       help="accepted for compatibility; has no effect "
-                            "(everything runs on one thread)")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing in the output document")
         p.add_argument("--engine", choices=("auto", "bar", "resolution"),
@@ -363,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hom = sub.add_parser("homology", help="Koszul homology dimension table")
     p_hom.add_argument("ring", help="ring document (JSON)")
-    p_hom.add_argument("--max-hom", type=NONNEGATIVE, default=None)
-    p_hom.add_argument("--max-int", type=NONNEGATIVE, default=None)
+    p_hom.add_argument("--max-hom", type=_nonnegative, default=None)
+    p_hom.add_argument("--max-int", type=_nonnegative, default=None)
     p_hom.add_argument("--multigraded", action="store_true")
     common(p_hom)
     p_hom.set_defaults(func=cmd_homology)
@@ -372,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run one of the named checks")
     p_check.add_argument("ring", help="ring document (JSON)")
     p_check.add_argument("--what", choices=CHECKS, required=True)
-    p_check.add_argument("--bound", type=NONNEGATIVE, default=6)
-    p_check.add_argument("--max-hom", type=NONNEGATIVE, default=None)
-    p_check.add_argument("--max-int", type=NONNEGATIVE, default=None)
+    p_check.add_argument("--bound", type=_nonnegative, default=6)
+    p_check.add_argument("--max-hom", type=_nonnegative, default=None)
+    p_check.add_argument("--max-int", type=_nonnegative, default=None)
     p_check.add_argument("--strand-route", action="store_true",
                          help="test strand-Koszulness through the strand "
                               "totalization instead of trigraded Betti numbers")
@@ -384,13 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam = sub.add_parser("family", help="family-specific certification")
     p_fam.add_argument("--family", choices=("ci", "gorenstein", "three-rel",
                                             "path", "cycle"), required=True)
-    p_fam.add_argument("-n", type=NONNEGATIVE, default=None)
+    p_fam.add_argument("-n", type=_nonnegative, default=None)
     p_fam.add_argument("--ring", default=None, help="ring document (JSON)")
     p_fam.add_argument("--quadrics", default=None,
                        help="comma-separated quadric expressions (ci family)")
     p_fam.add_argument("--variables", default=None,
                        help="comma-separated variable names (ci family)")
-    p_fam.add_argument("--max-hom", type=NONNEGATIVE, default=None)
+    p_fam.add_argument("--max-hom", type=_nonnegative, default=None)
     common(p_fam)
     p_fam.set_defaults(func=cmd_family)
     return parser

@@ -22,8 +22,8 @@ from .freealg import (Certification, FreeAlgebra, NCPresentation,
 from .homology import KoszulHomologyAlgebra, differential, homology
 from .polyring import QuotientRing
 from .series import univariate_binomial, univariate_mul
-from .sparse import (SparseMatrix, diagonalize_symmetric_form, solve_in_image,
-                     symplectic_basis)
+from .sparse import (SparseMatrix, diagonalize_symmetric_form, kernel_of_columns,
+                     rank_of_columns, solve_in_image, symplectic_basis)
 
 
 class InputError(ValueError):
@@ -183,6 +183,26 @@ class FamilyCertificate:
         return out
 
 
+def _certificate(family, H, names, gen_info, relations, targets, d_max, bound,
+                 data, ok=True):
+    """The ending every certifier shares: the relations must vanish in H, and
+    their rewriting system on the degree-1 generators ``names`` (evaluated as
+    ``gen_info``) must meet the strand dimensions ``targets`` up to ``d_max``.
+
+    Sets ``data["relations_vanish"]``; ``ok`` carries the certifier's own
+    checks.  Returns (FamilyCertificate, ReductionSystem).
+    """
+    algebra = FreeAlgebra(names, [1] * len(names), H.field)
+    data["relations_vanish"] = not _relations_vanish(H, gen_info, relations)
+    system = ReductionSystem(algebra, relations)
+    cert = certify_groebner_by_dims(system, targets, d_max)
+    ok = ok and data["relations_vanish"] and cert.passed
+    verdict = Verdict("STRAND-KOSZUL" if ok else "INCONSISTENT", bound)
+    return FamilyCertificate(family, verdict,
+                             NCPresentation(algebra, names, relations),
+                             cert, data), system
+
+
 # ---------------------------------------------------------------------------
 # quadratic complete intersections
 
@@ -229,7 +249,6 @@ def build_quadratic_ci(n: int, quadrics, field: Field = QQ, names=None):
         if differential(ring, z):
             raise ValueError("complete-intersection cycle failed to be a cycle")
     coords = [H.coords_of_cycle(1, 2, z) for z in cycle_elements]
-    from .sparse import rank_of_columns
     if H.dim(1, 2) != c or rank_of_columns(coords, field) != c:
         raise ValueError("quadric cycles do not span the linear homology")
     gen_info = [((1, 2), vec) for vec in coords]
@@ -245,25 +264,15 @@ def build_quadratic_ci(n: int, quadrics, field: Field = QQ, names=None):
             vectors.append(vec)
         if rank_of_columns(vectors, field) != comb(c, size):
             generation_ok = False
-    names_nc = [f"z{k+1}" for k in range(c)]
-    algebra = FreeAlgebra(names_nc, [1] * c, field)
-    relations = []
-    for a in range(c):
-        relations.append({(a, a): field.one})
-    for a in range(c):
-        for b in range(a + 1, c):
-            relations.append({(b, a): field.one, (a, b): field.one})
-    bad = _relations_vanish(H, gen_info, relations)
-    system = ReductionSystem(algebra, relations)
-    cert = certify_groebner_by_dims(system, _strand_dims(H, c), c + 1)
-    ok = dims_ok and generation_ok and not bad and cert.passed
-    verdict = Verdict("STRAND-KOSZUL" if ok else "INCONSISTENT",
-                      {"c": c, "j_max": 2 * c})
-    data = {"codimension": c, "dims_exterior": dims_ok,
-            "generation": generation_ok, "relations_vanish": not bad}
-    return ring, FamilyCertificate(
-        "quadratic-ci", verdict, NCPresentation(algebra, names_nc, relations),
-        cert, data)
+    relations = [{(a, a): field.one} for a in range(c)]
+    relations += [{(b, a): field.one, (a, b): field.one}
+                  for a in range(c) for b in range(a + 1, c)]
+    data = {"codimension": c, "dims_exterior": dims_ok, "generation": generation_ok}
+    cert, _ = _certificate("quadratic-ci", H, [f"z{k+1}" for k in range(c)],
+                           gen_info, relations, _strand_dims(H, c), c + 1,
+                           {"c": c, "j_max": 2 * c}, data,
+                           ok=dims_ok and generation_ok)
+    return ring, cert
 
 
 def _inverse_power_series(m: int, d_max: int) -> list:
@@ -325,62 +334,33 @@ def short_gorenstein_certify(R: QuotientRing):
     middle_scalings: list = []
     for i in range(1, c + 1):
         bi = b.get(i, 0)
+        # the pairing H_i x H_{n-i} -> H_n on basis positions; for n even and
+        # i = n/2 it is a form on one space
+        gram = [[pair_scalar({a: unit}, i, {bb: unit}, n - i) for bb in range(bi)]
+                for a in range(bi)]
+        pairing_matrices[i] = gram
+        gmat = SparseMatrix.from_rows(gram, field)
         if i < n - i:
-            zetas = [{a: unit} for a in range(bi)]
-            gram = [[pair_scalar(za, i, {bb: unit}, n - i) for bb in range(bi)]
-                    for za in zetas]
-            inv = _dense_inverse(gram, field)
-            etas = []
-            for col in range(bi):
-                vec: dict = {}
-                for k in range(bi):
-                    if inv[k][col]:
-                        vec[k] = inv[k][col]
-                etas.append(vec)
-            pairing_matrices[i] = gram
-            zeta_vectors[i] = zetas
+            # the etas are the columns of the inverse pairing matrix
+            etas = [solve_in_image(gmat, {s: unit}) for s in range(bi)]
+            if None in etas:
+                raise ValueError("pairing matrix is singular")
+            zeta_vectors[i] = [{a: unit} for a in range(bi)]
             eta_vectors[n - i] = etas
+        elif c % 2 == 1:
+            # odd middle degree: the form is alternating; use a symplectic basis
+            columns = symplectic_basis(gmat).columns()
+            zeta_vectors[i], eta_vectors[i] = columns[0::2], columns[1::2]
         else:
-            # middle block, n even: the pairing is a form on one space
-            gram = [[pair_scalar({a: unit}, i, {bb: unit}, i) for bb in range(bi)]
-                    for a in range(bi)]
-            pairing_matrices[i] = gram
-            gmat = SparseMatrix(bi, bi,
-                                {(r, s): gram[r][s] for r in range(bi)
-                                 for s in range(bi) if gram[r][s]}, field)
-            if c % 2 == 1:
-                # odd middle degree: the form is alternating; use a symplectic basis
-                P = symplectic_basis(gmat)
-                pairs = bi // 2
-                zetas, etas = [], []
-                for m in range(pairs):
-                    e = {r: P.entries[(r, 2 * m)] for r in range(bi)
-                         if (r, 2 * m) in P.entries}
-                    f = {r: P.entries[(r, 2 * m + 1)] for r in range(bi)
-                         if (r, 2 * m + 1) in P.entries}
-                    zetas.append(e)
-                    etas.append(f)
-                zeta_vectors[i] = zetas
-                eta_vectors[i] = etas
-            else:
-                # even middle degree: symmetric form; diagonalize and scale
-                P = diagonalize_symmetric_form(gmat)
-                zetas = []
-                scalings = []
-                for m in range(bi):
-                    v = {r: P.entries[(r, m)] for r in range(bi)
-                         if (r, m) in P.entries}
-                    d = pair_scalar(v, i, v, i)
-                    if not d:
-                        raise InputError("degenerate middle pairing")
-                    zetas.append(v)
-                    scalings.append(d)
-                zeta_vectors[i] = zetas
-                eta_vectors[i] = [
-                    {k: field.div(vv, scalings[m]) for k, vv in v.items()}
-                    for m, v in enumerate(zetas)]
-                aliased_middle = True
-                middle_scalings = scalings
+            # even middle degree: symmetric form; diagonalize and scale
+            zetas = diagonalize_symmetric_form(gmat).columns()
+            middle_scalings = [pair_scalar(v, i, v, i) for v in zetas]
+            if not all(middle_scalings):
+                raise InputError("degenerate middle pairing")
+            zeta_vectors[i] = zetas
+            eta_vectors[i] = [{k: field.div(vv, d) for k, vv in v.items()}
+                              for v, d in zip(zetas, middle_scalings)]
+            aliased_middle = True
     # assemble the alphabet: all zetas ascending, then all etas descending block
     for i in sorted(zeta_vectors):
         for jdx, vec in enumerate(zeta_vectors[i]):
@@ -394,7 +374,6 @@ def short_gorenstein_certify(R: QuotientRing):
             eta_ids[(i, jdx)] = len(gen_names)
             gen_names.append(f"w{i}_{jdx+1}")
             gen_info.append(((i, i + 1), by_index(i, vec)))
-    algebra = FreeAlgebra(gen_names, [1] * len(gen_names), field)
 
     # the distinguished pair monomials evaluating to the socle class
     pair_polys = []
@@ -443,28 +422,18 @@ def short_gorenstein_certify(R: QuotientRing):
         relations.append(field.collect(itertools.chain(
             poly.items(), ((w, -cc) for w, cc in first.items()))))
 
-    bad = _relations_vanish(H, gen_info, relations)
     rel1_ok = _check_duality_relations(pair_scalar, field.one, zeta_vectors,
                                        eta_vectors, n)
-    system = ReductionSystem(algebra, relations)
-    cert = certify_groebner_by_dims(system, _strand_dims(H, 4), 4)
-    ok = not bad and cert.passed and rel1_ok
-    verdict = Verdict("STRAND-KOSZUL" if ok else "INCONSISTENT",
-                      {"n": n, "j_max": n + 2})
     data = {"socle_bidegree": [n, n + 2], "betti_row": [b[i] for i in sorted(b)],
-            "relations_vanish": not bad, "duality_relations": rel1_ok,
-            "pairing_matrices": {str(i): m for i, m in
-                                 ((i, _gram_json(pairing_matrices[i]))
-                                  for i in pairing_matrices)}}
+            "duality_relations": rel1_ok,
+            "pairing_matrices": {str(i): [[str(v) for v in row] for row in gram]
+                                 for i, gram in pairing_matrices.items()}}
+    cert, _ = _certificate("short-gorenstein", H, gen_names, gen_info, relations,
+                           _strand_dims(H, 4), 4, {"n": n, "j_max": n + 2}, data,
+                           ok=rel1_ok)
     pairing = {"sigma": sigma, "pairing_matrices": pairing_matrices,
                "zeta_vectors": zeta_vectors, "eta_vectors": eta_vectors}
-    return pairing, FamilyCertificate(
-        "short-gorenstein", verdict,
-        NCPresentation(algebra, gen_names, relations), cert, data)
-
-
-def _gram_json(gram):
-    return [[str(v) for v in row] for row in gram]
+    return pairing, cert
 
 
 def _check_duality_relations(pair_scalar, one, zeta_vectors, eta_vectors,
@@ -478,20 +447,6 @@ def _check_duality_relations(pair_scalar, one, zeta_vectors, eta_vectors,
                 if (jdx == ldx) != (pair_scalar(z, i, e, n - i) == one):
                     return False
     return True
-
-
-def _dense_inverse(M, field: Field):
-    """Inverse of a square matrix given as a list of rows, column by column."""
-    m = len(M)
-    mat = SparseMatrix(m, m, {(r, s): M[r][s] for r in range(m) for s in range(m)},
-                       field)
-    columns = []
-    for s in range(m):
-        x = solve_in_image(mat, {s: field.one})
-        if x is None:
-            raise ValueError("pairing matrix is singular")
-        columns.append(x)
-    return [[columns[s].get(r, field.zero) for s in range(m)] for r in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -530,52 +485,32 @@ def three_relation_certify(R: QuotientRing):
     if table_id is None:
         raise InputError(f"Betti table {sorted(table.items())} matches none of "
                          "the four classified shapes")
+    one = field.one
     # class indices of the linear strand H_{1,2}, by basis position
     z = [h.index for h in H.basis(1, 2)]
-
-    if table_id in ("top-left", "top-right"):
-        # all of H' in degree 1: every quadratic word is a relation
-        gens = [((1, 2), {x: field.one}) for x in z]
+    bound = {"table": table_id}
+    if table_id != "bottom-right":
+        gens = [((1, 2), {x: one}) for x in z]
         names = ["z1", "z2", "z3"]
-        strand1 = _strand_dims(H, 4)
-        for i in range(2, 4):
-            if table.get((i, 1), 0):
-                for k, h in enumerate(H.basis(i, i + 1)):
-                    gens.append(((i, i + 1), {h.index: field.one}))
-                    names.append(f"y{i}_{k+1}")
-        algebra = FreeAlgebra(names, [1] * len(names), field)
-        relations = [{(a, bb): field.one} for a in range(len(names))
-                     for bb in range(len(names))]
-        bad = _relations_vanish(H, gens, relations)
-        system = ReductionSystem(algebra, relations)
-        cert = certify_groebner_by_dims(system, strand1, 3)
-        ok = not bad and cert.passed
-        verdict = Verdict("STRAND-KOSZUL" if ok else "INCONSISTENT",
-                          {"table": table_id})
-        return table_id, FamilyCertificate(
-            "three-relation", verdict,
-            NCPresentation(algebra, names, relations), cert,
-            {"table": table_id, "relations_vanish": not bad})
-
-    if table_id == "bottom-left":
-        # complete intersection shape: exterior algebra on the linear strand
-        gens = [((1, 2), {x: field.one}) for x in z]
-        names = ["z1", "z2", "z3"]
-        algebra = FreeAlgebra(names, [1, 1, 1], field)
-        relations = [{(k, k): field.one} for k in range(3)]
-        for a in range(3):
-            for bb in range(a + 1, 3):
-                relations.append({(bb, a): field.one, (a, bb): field.one})
-        bad = _relations_vanish(H, gens, relations)
-        system = ReductionSystem(algebra, relations)
-        cert = certify_groebner_by_dims(system, _strand_dims(H, 4), 4)
-        ok = not bad and cert.passed
-        verdict = Verdict("STRAND-KOSZUL" if ok else "INCONSISTENT",
-                          {"table": table_id})
-        return table_id, FamilyCertificate(
-            "three-relation", verdict,
-            NCPresentation(algebra, names, relations), cert,
-            {"table": table_id, "relations_vanish": not bad})
+        if table_id == "bottom-left":
+            # complete intersection shape: exterior algebra on the linear strand
+            relations = [{(k, k): one} for k in range(3)]
+            relations += [{(bb, a): one, (a, bb): one}
+                          for a in range(3) for bb in range(a + 1, 3)]
+            d_max = 4
+        else:
+            # all of H' in degree 1: every quadratic word is a relation
+            for i in range(2, 4):
+                if table.get((i, 1), 0):
+                    for k, h in enumerate(H.basis(i, i + 1)):
+                        gens.append(((i, i + 1), {h.index: one}))
+                        names.append(f"y{i}_{k+1}")
+            relations = [{(a, bb): one} for a in range(len(names))
+                         for bb in range(len(names))]
+            d_max = 3
+        cert, _ = _certificate("three-relation", H, names, gens, relations,
+                               _strand_dims(H, 4), d_max, bound, dict(bound))
+        return table_id, cert
 
     # bottom-right: extract zeta_1, zeta_2, zeta_3, eta with zeta_1 eta = sigma
     eta_vec = {H.basis(2, 3)[0].index: field.one}
@@ -601,13 +536,10 @@ def three_relation_certify(R: QuotientRing):
         kernel.append(vec)
     zeta2, zeta3 = kernel
     gens = [((1, 2), zeta1), ((1, 2), zeta2), ((1, 2), zeta3), ((2, 3), eta_vec)]
-    names = ["z1", "z2", "z3", "y"]
-    algebra = FreeAlgebra(names, [1, 1, 1, 1], field)
     # the 2-dimensional space H_{2,4} forces one relation among the products
     products = []
     for (a, bb) in ((0, 1), (0, 2), (1, 2)):
         products.append(_vec_product(H, (1, 2), gens[a][1], (1, 2), gens[bb][1]))
-    from .sparse import kernel_of_columns
     rank, ker = kernel_of_columns(products, field)
     if rank != 2 or len(ker) != 1:
         raise ValueError("pairwise products do not span a 2-dimensional space")
@@ -615,12 +547,12 @@ def three_relation_certify(R: QuotientRing):
     a_, b_, c_ = abc
     relations = []
     for k in range(3):
-        relations.append({(3, k): field.one, (k, 3): field.neg(field.one)})
+        relations.append({(3, k): one, (k, 3): field.neg(one)})
     for (a, bb) in ((0, 1), (0, 2), (1, 2)):
-        relations.append({(bb, a): field.one, (a, bb): field.one})
-    relations.extend({(k, k): field.one} for k in range(4))
-    relations.append({(1, 3): field.one})
-    relations.append({(2, 3): field.one})
+        relations.append({(bb, a): one, (a, bb): one})
+    relations.extend({(k, k): one} for k in range(4))
+    relations.append({(1, 3): one})
+    relations.append({(2, 3): one})
     relations.append({w: coeff for w, coeff in
                       (((0, 1), a_), ((0, 2), b_), ((1, 2), c_)) if coeff})
     if c_:
@@ -629,16 +561,10 @@ def three_relation_certify(R: QuotientRing):
         case = "c-zero-ab-nonzero"
     else:
         case = "monomial-skew"
-    bad = _relations_vanish(H, gens, relations)
-    system = ReductionSystem(algebra, relations)
-    cert = certify_groebner_by_dims(system, _strand_dims(H, 4), 4)
-    ok = not bad and cert.passed
-    verdict = Verdict("STRAND-KOSZUL" if ok else "INCONSISTENT",
-                      {"table": table_id})
-    return table_id, FamilyCertificate(
-        "three-relation", verdict, NCPresentation(algebra, names, relations),
-        cert, {"table": table_id, "case": case,
-               "abc": [str(v) for v in abc], "relations_vanish": not bad})
+    data = {"table": table_id, "case": case, "abc": [str(v) for v in abc]}
+    cert, _ = _certificate("three-relation", H, ["z1", "z2", "z3", "y"], gens,
+                           relations, _strand_dims(H, 4), 4, bound, data)
+    return table_id, cert
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +617,6 @@ def path_certify(n: int, field: Field = QQ, d_max: int = 5):
             raise ValueError("distinguished element failed to be a cycle")
     # interleaved alphabet z1 < y1 < z2 < y2 < ... < z_{n-1}
     names = []
-    degrees = []
     gen_info = []
     z_index: dict = {}
     y_index: dict = {}
@@ -699,16 +624,13 @@ def path_certify(n: int, field: Field = QQ, d_max: int = 5):
     for i in range(1, n):
         z_index[i] = len(names)
         names.append(f"z{i}")
-        degrees.append(1)
         gen_info.append(((1, 2), H.coords_of_cycle(1, 2, z_elems[i - 1])))
         kinds.append(("z", i))
         if i <= n - 2:
             y_index[i] = len(names)
             names.append(f"y{i}")
-            degrees.append(1)
             gen_info.append(((2, 3), H.coords_of_cycle(2, 3, y_elems[i - 1])))
             kinds.append(("y", i))
-    from .sparse import rank_of_columns
     z_coords = [vec for (bd, vec), kind in zip(gen_info, kinds) if kind[0] == "z"]
     y_coords = [vec for (bd, vec), kind in zip(gen_info, kinds) if kind[0] == "y"]
     bases_ok = (H.dim(1, 2) == n - 1 and H.dim(2, 3) == n - 2
@@ -760,10 +682,6 @@ def path_certify(n: int, field: Field = QQ, d_max: int = 5):
             if 1 <= i <= j:
                 add(10, {(y_index[i], y_index[j]): one})
 
-    bad = _relations_vanish(H, gen_info, relations)
-    algebra = FreeAlgebra(names, degrees, field)
-    system = ReductionSystem(algebra, relations)
-
     # targets from the combinatorial formula (the paper's dimension count)
     targets = {0: 1}
     for support_size in range(1, n + 1):
@@ -774,7 +692,9 @@ def path_certify(n: int, field: Field = QQ, d_max: int = 5):
                 strand = support_size - hom_degree
                 if strand <= d_max:
                     targets[strand] = targets.get(strand, 0) + 1
-    cert = certify_groebner_by_dims(system, targets, d_max)
+    data = {"n": n, "type_counts": {str(k): len(v) for k, v in types.items()}}
+    cert, system = _certificate("path", H, names, gen_info, relations, targets,
+                                d_max, {"n": n, "d_max": d_max}, data)
 
     # every reduced word must be the canonical factorization of its multidegree
     factorization_ok = True
@@ -795,11 +715,7 @@ def path_certify(n: int, field: Field = QQ, d_max: int = 5):
                 expected.extend(path_mu_word(start, r, z_index, y_index))
             if tuple(expected) != word:
                 factorization_ok = False
-    ok = not bad and cert.passed and factorization_ok
-    verdict = Verdict("STRAND-KOSZUL" if ok else "INCONSISTENT",
-                      {"n": n, "d_max": d_max})
-    data = {"n": n, "relations_vanish": not bad,
-            "canonical_factorizations": factorization_ok,
-            "type_counts": {str(k): len(v) for k, v in types.items()}}
-    return ring, FamilyCertificate(
-        "path", verdict, NCPresentation(algebra, names, relations), cert, data)
+    data["canonical_factorizations"] = factorization_ok
+    if not factorization_ok:
+        cert.verdict.status = "INCONSISTENT"
+    return ring, cert

@@ -23,11 +23,11 @@ class GradedAlgebraData:
 
     ``components`` maps a tuple grade to the dimension of that piece of the
     augmentation ideal; ``mult(g1, a, g2, b)`` returns the product of basis
-    elements as a dict ``index -> coefficient`` in grade g1 + g2, memoized.
-    Structure constants come out as plain ints where they are integral (every
-    GF(p) residue is); only a non-integral rational stays a Fraction, so the
-    Tor engines can sum them on plain ints.  ``weight`` maps grades to
-    positive ints and bounds the trusted range.
+    elements as a dict ``index -> nonzero coefficient`` in grade g1 + g2,
+    memoized.  Structure constants come out as plain ints where they are
+    integral (every GF(p) residue is); only a non-integral rational stays a
+    Fraction, so the Tor engines can sum them on plain ints.  ``weight`` maps
+    grades to positive ints and bounds the trusted range.
     """
 
     def __init__(self, field: Field, components: dict, mult, weight, bound):

@@ -112,8 +112,7 @@ def check_hilbert_identity(R: QuotientRing, D: int, engine: str = "auto") -> Che
 
 def check_low_degree_betti(R: QuotientRing, j_max: int,
                            engine_r: str = "bar",
-                           engine_h: str = "auto",
-                           H: KoszulHomologyAlgebra | None = None) -> CheckReport:
+                           engine_h: str = "auto") -> CheckReport:
     """The four low-degree relations between beta^R and trigraded beta^H.
 
     Both sides come from independent routes: the bar complex over R versus
@@ -122,9 +121,7 @@ def check_low_degree_betti(R: QuotientRing, j_max: int,
     n = R.n
     A = ring_algebra_data(R, j_max)
     tR = betti_table(A, 4, j_max, engine=engine_r)
-    if H is None:
-        H = homology(R, n, j_max)
-    tri = trigraded_betti(H, 2, j_max, engine=engine_h)
+    tri = trigraded_betti(homology(R, n, j_max), 2, j_max, engine=engine_h)
 
     def bR(p, j):
         return tR.get(p, (j,))
@@ -152,7 +149,6 @@ def check_low_degree_betti(R: QuotientRing, j_max: int,
 
 def check_quasi_formal(R: QuotientRing, m_max: int, j_max: int,
                        engine: str = "auto",
-                       H: KoszulHomologyAlgebra | None = None,
                        P_R: SeriesTrunc | None = None,
                        P_H: SeriesTrunc | None = None) -> Verdict:
     """Quasi-formality of K, decided coefficientwise.
@@ -167,9 +163,8 @@ def check_quasi_formal(R: QuotientRing, m_max: int, j_max: int,
         P_R = ring_poincare(R, m_max, j_max, engine=engine)
     P_K = poincare_K_from_R(P_R, R.n)
     if P_H is None:
-        if H is None:
-            H = homology(R, R.n, j_max)
-        P_H = homology_poincare_sst(H, m_max, j_max, engine=engine)
+        P_H = homology_poincare_sst(homology(R, R.n, j_max), m_max, j_max,
+                                    engine=engine)
     bound = {"m_max": m_max, "j_max": j_max}
     for key in sorted(P_K.region & P_H.region, key=lambda k: (sum(k), k)):
         lhs = P_K.coeffs.get(key, 0)
@@ -226,16 +221,14 @@ def check_theorem_B(R: QuotientRing, p_max: int, j_max: int,
 
 
 def check_golod(R: QuotientRing, p_max: int, j_max: int,
-                engine: str = "auto",
-                H: KoszulHomologyAlgebra | None = None) -> Verdict:
+                engine: str = "auto") -> Verdict:
     """Golodness: P^R attains (1+st)^n / (1 - s(P^Q_R - 1)) coefficientwise.
 
     The homological variable multiplies the shifted numerator (each bar factor
     raises homological degree by one more than its own); a strict deficit
     certifies NOT-GOLOD unconditionally, an excess is impossible.
     """
-    if H is None:
-        H = homology(R, R.n, j_max)
+    H = homology(R, R.n, j_max)
     P_R = ring_poincare(R, p_max, j_max, engine=engine)
     region = P_R.region
     q_series = homology_q_betti_series(H, j_max)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from koszul.cli import main
+from koszul.cli import load_ring, main
+from koszul.homology import multigraded_homology
 
 RING_63NE = {
     "field": "QQ",
@@ -69,6 +71,37 @@ def test_homology_multigraded(tmp_path, capsys):
                                 "--multigraded"])
     assert code == 0
     assert doc["tables"]["multigraded_dims"]["(1,1,1)"] == {"2": 1}
+
+
+def test_homology_multigraded_needs_squarefree_monomial_ring(tmp_path, capsys):
+    # the classes of x^2, x*y sit at the multidegrees (2, 0) and (2, 1), which
+    # a table over squarefree multidegrees would miss
+    path = write_ring(tmp_path, {"field": "QQ", "variables": ["x", "y"],
+                                 "relations": ["x^2", "x*y"]})
+    assert main(["homology", path, "--multigraded"]) == 2
+    assert "--multigraded" in capsys.readouterr().err
+    code, doc, _ = run(capsys, ["homology", path])
+    assert code == 0
+    assert doc["tables"]["homology_dims"] == {"0,0": 1, "1,2": 2, "2,3": 1}
+
+
+@pytest.mark.parametrize("n, closed", [(5, False), (6, False), (6, True)])
+def test_multigraded_table_matches_slicewise_homology(tmp_path, capsys, n, closed):
+    names = [f"x{k}" for k in range(1, n + 1)]
+    edges = [(k, k + 1) for k in range(n - 1)] + ([(n - 1, 0)] if closed else [])
+    path = write_ring(tmp_path, {"field": "QQ", "variables": names,
+                                 "relations": [f"{names[a]}*{names[b]}"
+                                               for a, b in edges]})
+    code, doc, _ = run(capsys, ["homology", path, "--multigraded"])
+    assert code == 0
+    ring, _ = load_ring(path)
+    expected = {}
+    for u in itertools.product((0, 1), repeat=n):
+        dims, _ = multigraded_homology(ring, u)
+        if any(u) and dims:
+            expected["(" + ",".join(map(str, u)) + ")"] = {
+                str(i): d for i, d in dims.items()}
+    assert doc["tables"]["multigraded_dims"] == expected
 
 
 def test_homology_table_format(tmp_path, capsys):
@@ -203,10 +236,10 @@ def test_deterministic_output(tmp_path, capsys):
 
 
 def test_jobs_flag(tmp_path, capsys):
+    # --jobs never had an effect and is no longer accepted
     path = write_ring(tmp_path, RING_PATH3)
-    code, doc, _ = run(capsys, ["homology", path, "--max-int", "4",
-                                "--jobs", "4"])
-    assert code == 0
+    assert main(["homology", path, "--max-int", "4", "--jobs", "4"]) == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_prime_field_ring(tmp_path, capsys):
@@ -241,7 +274,6 @@ def test_check_strand_route_uses_trusted_bound(tmp_path, capsys):
     ["check", "@", "--what", "koszul", "--max-int", "-2"],
     ["homology", "@", "--max-hom", "-1"],
     ["homology", "@", "--max-int", "-1"],
-    ["homology", "@", "--jobs", "0"],
     ["family", "--family", "cycle", "-n", "-4"],
 ])
 def test_negative_bounds_rejected_at_parse_time(tmp_path, capsys, argv):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from koszul import QQ, Field, QuotientRing, parse_polynomial
 from koszul.betti import is_strand_koszul_up_to
-from koszul.families import (PathDecomposition, _dense_inverse, boocher_dim,
+from koszul.families import (PathDecomposition, boocher_dim,
                              build_cycle_ring,
                              build_path_ring, build_quadratic_ci,
                              complete_decomposition, path_certify,
@@ -103,15 +103,6 @@ GOR3 = (["x", "y", "z"], ["x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"])
 GOR4 = (["x", "y", "z", "w"],
         ["x*y", "x*z", "x*w", "y*z", "y*w", "z*w",
          "x^2 - y^2", "x^2 - z^2", "x^2 - w^2"])
-
-
-def test_dense_inverse_and_singular_pairing():
-    for field in (QQ, Field(7)):
-        M = [[field(2), field(1)], [field(1), field(1)]]
-        inv = _dense_inverse(M, field)
-        assert inv == [[field(1), field(-1)], [field(-1), field(2)]]
-        with pytest.raises(ValueError, match="pairing matrix is singular"):
-            _dense_inverse([[field(1), field(2)], [field(2), field(4)]], field)
 
 
 def test_short_gorenstein_n2():

@@ -66,6 +66,17 @@ def test_solve_identity_and_zero():
     assert solve_in_image(zero, [0, 0]) == {}
 
 
+def test_solve_gives_inverse_columns_and_none_when_singular():
+    # the short Gorenstein certifier reads its eta vectors this way
+    for field in (QQ, Field(7)):
+        m = SparseMatrix.from_rows([[field(2), field(1)], [field(1), field(1)]], field)
+        columns = [solve_in_image(m, {s: field.one}) for s in range(2)]
+        assert columns == [{0: field(1), 1: field(-1)}, {0: field(-1), 1: field(2)}]
+        singular = SparseMatrix.from_rows([[field(1), field(2)], [field(2), field(4)]],
+                                          field)
+        assert solve_in_image(singular, {0: field.one}) is None
+
+
 def test_solve_dimension_mismatch():
     m = SparseMatrix.from_rows([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
