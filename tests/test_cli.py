@@ -274,6 +274,7 @@ def test_check_strand_route_uses_trusted_bound(tmp_path, capsys):
     ["check", "@", "--what", "koszul", "--max-int", "-2"],
     ["homology", "@", "--max-hom", "-1"],
     ["homology", "@", "--max-int", "-1"],
+    ["family", "--family", "cycle", "--max-hom", "-1"],
     ["family", "--family", "cycle", "-n", "-4"],
 ])
 def test_negative_bounds_rejected_at_parse_time(tmp_path, capsys, argv):
