@@ -17,7 +17,7 @@ sit the bounded Koszulness verdicts and the Poincare-series plumbing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from operator import itemgetter, sub
+from operator import sub
 
 from .graded import GradedAlgebraData, add_grades
 from .series import SeriesTrunc, region_rect
@@ -86,7 +86,15 @@ def _in_region(p: int, weight: int, p_max: int, weight_max: int,
 
 
 class BarEngine:
-    """Reduced bar complex of a connected graded algebra, slice by slice."""
+    """Reduced bar complex of a connected graded algebra, slice by slice.
+
+    The words of slice (p, G) come in blocks by last letter x = (g, a), in
+    ``grades`` order and then a: the block of x is ``words(p - 1, G - g)``
+    with x appended.  So the column of ``u + (x,)`` is the column of u in
+    slice (p - 1, G - g), shifted to the block of x in ``words(p - 1, G)``,
+    plus the one merge of u's last letter with x.  Each slice's columns are
+    built once, from the slices below.
+    """
 
     def __init__(self, A: GradedAlgebraData):
         self.A = A
@@ -94,6 +102,9 @@ class BarEngine:
         self.zero = _zero_grade(A)
         self.grades = sorted(A.components)
         self._words: dict = {}
+        # (p, G) -> {g: (start, n)}: the block of (g, a) is words[start + a*n:][:n]
+        self._blocks: dict = {}
+        self._cols: dict = {}
         self._ranks: dict = {}
 
     def words(self, p: int, grade: tuple) -> tuple:
@@ -102,31 +113,21 @@ class BarEngine:
         if hit is not None:
             return hit
         A = self.A
-        out: list = []
-
-        def extend(word, remaining, rweight):
-            slots = p - len(word)
-            if slots == 0:
-                if not any(remaining):
-                    out.append(word)
-                return
+        out: list = [()] if p == 0 and grade == self.zero else []
+        blocks: dict = {}
+        if p > 0:
+            room = A.weight(grade) - (p - 1)
             for g in self.grades:
-                if any(a > b for a, b in zip(g, remaining)):
+                rest = tuple(map(sub, grade, g))
+                if min(rest) < 0 or A.weight(g) > room:
                     continue
-                w = A.weight(g)
-                if w > rweight - (slots - 1):
-                    continue
-                rest = tuple(b - a for a, b in zip(g, remaining))
-                for a in range(A.components[g]):
-                    extend(word + ((g, a),), rest, rweight - w)
-
-        if p == 0:
-            if grade == self.zero:
-                out.append(())
-        elif p > 0:
-            extend((), grade, self.A.weight(grade))
-        result = tuple(out)
-        self._words[key] = result
+                us = self.words(p - 1, rest)
+                if us:
+                    blocks[g] = (len(out), len(us))
+                    for a in range(A.components[g]):
+                        out.extend([u + ((g, a),) for u in us])
+        self._blocks[key] = blocks
+        result = self._words[key] = tuple(out)
         return result
 
     def dim(self, p: int, grade: tuple) -> int:
@@ -135,31 +136,43 @@ class BarEngine:
     def differential_columns(self, p: int, grade: tuple):
         """Columns of d_p on the (p, grade) slice, over the (p-1, grade) basis.
 
-        No target word occurs twice in one column: merging at position t
-        gives that position weight w_t + w_{t+1}, while merging later leaves
-        it at w_t, and weights are positive.  So each entry is one signed
-        structure constant, nonzero as ``A.mult`` returns it (over GF(p) an
-        unreduced int, never a multiple of p), and nothing is summed.
+        No target word occurs twice in one column.  The terms from the column
+        of u end in x and are distinct by induction; the last merge ends in a
+        letter of weight above x's, as weights are positive, and its terms
+        differ in that letter.  So each entry is one signed structure
+        constant, nonzero as ``A.mult`` returns it (over GF(p) an unreduced
+        int, never a multiple of p), and nothing is summed.
         """
-        A = self.A
-        words_p = self.words(p, grade)
-        if p <= 1 or not words_p:
+        if p <= 1 or not self.words(p, grade):
             return [], self.words(p - 1, grade) if p >= 1 else ()
         words_q = self.words(p - 1, grade)
-        index = {w: i for i, w in enumerate(words_q)}
+        if (p, grade) in self._cols:
+            return self._cols[(p, grade)], words_q
+        A = self.A
+        targets = self._blocks[(p - 1, grade)]
+        sign = -1 if p % 2 else 1   # (-1)^(p-2), the sign of the last merge
         cols = []
-        for w in words_p:
-            col: dict = {}
-            sign = 1
-            for t in range(p - 1):
-                (g1, a1), (g2, a2) = w[t], w[t + 1]
-                prod = A.mult(g1, a1, g2, a2)
-                if prod:
-                    g12 = add_grades(g1, g2)
-                    for x, c in prod.items():
-                        col[index[w[:t] + ((g12, x),) + w[t + 2:]]] = sign * c
-                sign = -sign
-            cols.append(col)
+        for g in self._blocks[(p, grade)]:
+            rest = tuple(map(sub, grade, g))
+            below, _ = self.differential_columns(p - 1, rest)
+            inner = [(h, s_h, n_h) + targets.get(add_grades(h, g), (0, 0))
+                     for h, (s_h, n_h) in self._blocks[(p - 1, rest)].items()]
+            s_g, n_g = targets.get(g, (0, 0))
+            for a in range(A.components[g]):
+                shift = s_g + a * n_g
+                for h, s_h, n_h, s_gh, n_gh in inner:
+                    for b in range(A.components[h]):
+                        # v + ((h, b),) at place i has v at place i - first
+                        first = s_h + b * n_h
+                        merged = [(s_gh + x * n_gh - first, sign * c)
+                                  for x, c in A.mult(h, b, g, a).items()]
+                        for i in range(first, first + n_h):
+                            col = ({k + shift: c for k, c in below[i].items()}
+                                   if below else {})
+                            for offset, c in merged:
+                                col[offset + i] = c
+                            cols.append(col)
+        self._cols[(p, grade)] = cols
         return cols, words_q
 
     def rank(self, p: int, grade: tuple) -> int:
@@ -212,9 +225,10 @@ class ResolutionEngine:
 
     An element of F_p in grade G is a dict over basis keys ``(k, comp, a)``:
     generator k of F_p times basis element a of A_comp, where comp is G minus
-    the grade of k (``(k, zero, 0)`` is the generator itself).  Generators are
-    indexed by grade, so the basis of F_p at G is read off the splits
-    ``(g, G - g)`` of G into a component and a generator grade.
+    the grade of k (``(k, zero, 0)`` is the generator itself).  When a
+    generator is made, its key and its products with the components within
+    reach are pushed to their grades, so the basis of F_p by grade is built
+    as the generators appear, in generator order and then a.
 
     Step p visits the grades where F_{p-1} is nonzero, by increasing weight.
     At a grade G, the images of the basis elements of F_p that are not
@@ -237,7 +251,6 @@ class ResolutionEngine:
         self.zero = _zero_grade(A)
         self.gens: list = [[self.zero]]   # gens[p]: grades of the generators of F_p
         self._components = sorted(((A.weight(g), g) for g in A.components))
-        self._splits: dict = {}
 
     def _act(self, g: tuple, a: int, vec: dict) -> dict:
         """Basis element a of A_g times a module element."""
@@ -253,47 +266,15 @@ class ResolutionEngine:
                 out[key] = out.get(key, 0) + c * cx
         return {key: v for key, v in out.items() if v}
 
-    def _split(self, G: tuple, w: int) -> list:
-        """The pairs (g, G - g) with g a component and G - g a grade; w is
-        the weight of G."""
-        hit = self._splits.get(G)
-        if hit is None:
-            hit = []
-            for wg, g in self._components:
-                if wg > w:
-                    break
-                rest = tuple(map(sub, G, g))
-                if min(rest) >= 0:
-                    hit.append((g, rest))
-            self._splits[G] = hit
-        return hit
-
-    def _module_basis(self, index: dict, G: tuple, w: int) -> list:
-        """Basis keys at G, of weight w, of the free module with generators
-        ``{grade: [k]}``, ordered by generator."""
-        dims = self.A.components
-        out = [(k, self.zero, 0) for k in index.get(G, ())]
-        for g, rest in self._split(G, w):
-            ks = index.get(rest)
-            if ks:
-                out.extend((k, g, a) for k in ks for a in range(dims[g]))
-        out.sort(key=itemgetter(0))
-        return out
-
-    def _support(self, index: dict, w_max: int) -> list:
-        """Sorted (weight, grade) pairs, weight 1..w_max, where that free
-        module is nonzero."""
-        A = self.A
-        out: dict = {}
-        for h in index:
-            wh = A.weight(h) if h != self.zero else 0
-            if 0 < wh <= w_max:
-                out[h] = wh
-            for wg, g in self._components:
-                if wh + wg > w_max:
-                    break
-                out[add_grades(h, g)] = wh + wg
-        return sorted((w, G) for G, w in out.items())
+    def _push(self, basis: dict, k: int, G: tuple, w: int, reach: int):
+        """Add generator k, at grade G of weight w, and its products with the
+        components up to weight ``reach`` to ``basis``: grade -> (weight, keys)."""
+        basis.setdefault(G, (w, []))[1].append((k, self.zero, 0))
+        for wg, g in self._components:
+            if w + wg > reach:
+                break
+            basis.setdefault(add_grades(G, g), (w + wg, []))[1].extend(
+                (k, g, a) for a in range(self.A.components[g]))
 
     def extend(self, p_max: int, weight_max: int, total_bound: int | None = None):
         """Resolve to homological degree p_max and weight weight_max; with a
@@ -314,26 +295,26 @@ class ResolutionEngine:
 
         zero = self.zero
         self.gens = [[zero]]
-        index = {zero: [0]}   # generators of F_{p-1} by grade
-        bases: dict = {}      # grade -> basis keys of F_{p-1}, where step p-1 kept them
+        bases: dict = {}      # grade -> (weight, basis keys of F_{p-1})
+        self._push(bases, 0, zero, 0, reach(0))
         cycles: dict = {}     # grade -> Z_{p-1} over that basis; absent: all of F_{p-1}
         for p in range(1, p_max + 1):
             gens: list = []
             maps: list = []   # maps[k]: image of generator k of F_p in F_{p-1}
-            new_index: dict = {}
             new_bases: dict = {}
             new_cycles: dict = {}
-            for w, G in self._support(index, reach(p)):
+            for w, G in sorted((w, G) for G, (w, _) in bases.items()
+                               if 0 < w <= reach(p)):
                 cyc = cycles.get(G)
                 if cyc == []:
                     # Z_{p-1}(G) = 0: no generator here, and d_p vanishes on
                     # F_p(G), which the next step reads as all cycles
                     continue
-                basis_prev = bases.get(G) or self._module_basis(index, G, w)
+                basis_prev = bases[G][1]
                 if cyc is None:
                     cyc = [{i: 1} for i in range(len(basis_prev))]
                 keep = w <= reach(p + 1)
-                moved = self._module_basis(new_index, G, w)
+                moved = new_bases.get(G, (w, ()))[1]
                 # images of the moved basis, tracked for Z_p(G) when kept
                 ech = IntEchelon(self.field.p, track=keep)
                 at = {key: i for i, key in enumerate(basis_prev)}
@@ -351,16 +332,14 @@ class ResolutionEngine:
                     if not missing:
                         break
                     if ech.insert(z) is None:
-                        new_index.setdefault(G, []).append(len(gens))
-                        moved.append((len(gens), zero, 0))
+                        self._push(new_bases, len(gens), G, w, reach(p))
                         gens.append(G)
                         maps.append({basis_prev[i]: c for i, c in z.items()})
                         missing -= 1
                 if keep:
-                    new_bases[G] = moved
                     new_cycles[G] = relations
             self.gens.append(gens)
-            index, bases, cycles = new_index, new_bases, new_cycles
+            bases, cycles = new_bases, new_cycles
 
     def betti_entries(self, p_max: int, weight_max: int,
                       total_bound: int | None = None) -> dict:

@@ -291,12 +291,12 @@ def cmd_family(args) -> int:
         if not args.ring:
             raise UsageError("--family gorenstein needs a ring file")
         ring, digest = load_ring(args.ring)
-        _, cert = _certify(short_gorenstein_certify, ring)
+        cert = _certify(short_gorenstein_certify, ring)
     elif family == "three-rel":
         if not args.ring:
             raise UsageError("--family three-rel needs a ring file")
         ring, digest = load_ring(args.ring)
-        _, cert = _certify(three_relation_certify, ring)
+        cert = _certify(three_relation_certify, ring)
     elif family == "path":
         if args.n is None or args.n < 3:
             raise UsageError("--family path needs -n >= 3")

@@ -289,7 +289,7 @@ def short_gorenstein_certify(R: QuotientRing):
     degree 2 via Poincare duality and an explicit quadratic rewriting system.
 
     Needs characteristic != 2 unless the embedding dimension is odd.
-    Returns (pairing data, FamilyCertificate).
+    Returns the FamilyCertificate.
     """
     n = R.n
     field = R.field
@@ -431,9 +431,7 @@ def short_gorenstein_certify(R: QuotientRing):
     cert, _ = _certificate("short-gorenstein", H, gen_names, gen_info, relations,
                            _strand_dims(H, 4), 4, {"n": n, "j_max": n + 2}, data,
                            ok=rel1_ok)
-    pairing = {"sigma": sigma, "pairing_matrices": pairing_matrices,
-               "zeta_vectors": zeta_vectors, "eta_vectors": eta_vectors}
-    return pairing, cert
+    return cert
 
 
 def _check_duality_relations(pair_scalar, one, zeta_vectors, eta_vectors,
@@ -467,7 +465,8 @@ def three_relation_certify(R: QuotientRing):
     possible shapes, then runs the table-specific argument: the top-row tables
     have trivial quadratic structure, the bottom-left is an exterior algebra,
     and the bottom-right needs the explicit degree-2 relation among the
-    pairwise products.  Returns (table id, FamilyCertificate).
+    pairwise products.  Returns the FamilyCertificate; its data names the
+    table.
     """
     field = R.field
     n = R.n
@@ -510,7 +509,7 @@ def three_relation_certify(R: QuotientRing):
             d_max = 3
         cert, _ = _certificate("three-relation", H, names, gens, relations,
                                _strand_dims(H, 4), d_max, bound, dict(bound))
-        return table_id, cert
+        return cert
 
     # bottom-right: extract zeta_1, zeta_2, zeta_3, eta with zeta_1 eta = sigma
     eta_vec = {H.basis(2, 3)[0].index: field.one}
@@ -564,7 +563,7 @@ def three_relation_certify(R: QuotientRing):
     data = {"table": table_id, "case": case, "abc": [str(v) for v in abc]}
     cert, _ = _certificate("three-relation", H, ["z1", "z2", "z3", "y"], gens,
                            relations, _strand_dims(H, 4), 4, bound, data)
-    return table_id, cert
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ presentations by generators and relations live here too.
 
 from __future__ import annotations
 
+from operator import add
+
 from .fields import Field
 from .freealg import FreeAlgebra, NCPresentation
 from .sparse import IntEchelon
 
 
 def add_grades(g1: tuple, g2: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(g1, g2))
+    return tuple(map(add, g1, g2))
 
 
 class GradedAlgebraData:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from operator import le
 
 from .fields import Field
 from .graded import GradedAlgebraData
@@ -176,6 +177,7 @@ class KoszulHomologyAlgebra:
         self._slices: dict = {}
         self._bases: dict = {}
         self._product_cache: dict = {}
+        self._multidegrees: dict = {}   # j -> _squarefree_multidegrees(j)
 
     # -- slice plumbing -----------------------------------------------------
 
@@ -223,9 +225,26 @@ class KoszulHomologyAlgebra:
             return 0
         return size - self._rank(i, grade) - self._rank(i + 1, grade)
 
-    def _squarefree_multidegrees(self, j: int):
-        for support in itertools.combinations(range(self.ring.n), j):
-            yield tuple(1 if k in support else 0 for k in range(self.ring.n))
+    def _in_lcm_lattice(self, u: tuple) -> bool:
+        """Whether u is the lcm of the minimal generators dividing it (u = 0
+        is the empty lcm).  Off this lattice H_{i,u} = Tor_i(R, k)_u vanishes
+        for i >= 1 (Gasharov-Peeva-Welker), so no rank is taken there."""
+        lcm = (0,) * len(u)
+        for m in self.ring._lms:
+            if all(map(le, m, u)):
+                lcm = tuple(map(max, lcm, m))
+        return lcm == u
+
+    def _squarefree_multidegrees(self, j: int) -> list:
+        """The squarefree multidegrees of degree j in the lcm lattice, memoized."""
+        hit = self._multidegrees.get(j)
+        if hit is None:
+            n = self.ring.n
+            candidates = (tuple(1 if k in s else 0 for k in range(n))
+                          for s in itertools.combinations(range(n), j))
+            hit = self._multidegrees[j] = [u for u in candidates
+                                           if self._in_lcm_lattice(u)]
+        return hit
 
     def _classes(self, i: int, grade) -> list[HomologyClass]:
         """The classes of one slice, built once; basis(i, j) on the bigraded route.
@@ -307,7 +326,7 @@ class KoszulHomologyAlgebra:
             raise ValueError("multigraded data needs a monomial defining ideal")
         if i == 0:
             return 1 if not any(u) else 0
-        if not _squarefree(u):
+        if not (_squarefree(u) and self._in_lcm_lattice(u)):
             return 0
         return self._slice_dim(i, u)
 

@@ -149,7 +149,7 @@ def test_criterion_8_family_agreement():
     ]
     for names, rels in gorenstein_cases:
         ring = ring_from_strings(names, rels)
-        _, cert = short_gorenstein_certify(ring)
+        cert = short_gorenstein_certify(ring)
         check(ring, cert.verdict.status, len(names) + 3,
               f"gorenstein n={len(names)}")
 
@@ -161,8 +161,8 @@ def test_criterion_8_family_agreement():
     ]
     for names, rels in three_rel_cases:
         ring = ring_from_strings(names, rels)
-        table_id, cert = three_relation_certify(ring)
-        check(ring, cert.verdict.status, 7, f"three-rel {table_id}")
+        cert = three_relation_certify(ring)
+        check(ring, cert.verdict.status, 7, f"three-rel {cert.data['table']}")
 
     _report(8, f"family certificates match the generic bounded verdict on "
                f"{len(agreements)} rings: {', '.join(agreements)}")

@@ -284,6 +284,53 @@ def test_multigraded_sums_match_bigraded():
             assert total == H.dim(i, j)
 
 
+@st.composite
+def squarefree_monomial_rings(draw):
+    """A ring k[x_1..x_n]/I, I generated by random squarefree monomials, with
+    the supports of the minimal generators."""
+    n = draw(st.integers(2, 5))
+    supports = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=2,
+                                           max_size=3), min_size=1, max_size=5))
+    minimal = {s for s in supports if not any(t < s for t in supports)}
+    ring = QuotientRing(n, [{tuple(int(k in s) for k in range(n)): 1}
+                            for s in supports])
+    return ring, minimal
+
+
+@settings(max_examples=40, deadline=None)
+@given(squarefree_monomial_rings())
+def test_multigraded_homology_lives_on_the_lcm_lattice(data):
+    # dense oracle on every squarefree multidegree u: each nonzero H_{i,u}
+    # with i >= 1 sits where u is the lcm of the generators dividing it, and
+    # summing the oracle over all u gives H.dims()
+    ring, minimal = data
+    n = ring.n
+    H = homology(ring, n, n)
+    assert H.multigraded
+    expected = {(0, 0): 1}
+    for j in range(1, n + 1):
+        for support in itertools.combinations(range(n), j):
+            u = tuple(1 if k in support else 0 for k in range(n))
+            in_lattice = set(support) == set().union(
+                *(s for s in minimal if s <= set(support)))
+            for i in range(1, j + 1):
+                below = {b: k for k, b in
+                         enumerate(koszul_basis_multigraded(ring, i - 1, u))}
+                basis = koszul_basis_multigraded(ring, i, u)
+                here = {b: k for k, b in enumerate(basis)}
+                d_in = [{below[key]: c for key, c in
+                         differential_of_basis(ring, v, w).items()}
+                        for v, w in basis]
+                d_out = [{here[key]: c for key, c in
+                          differential_of_basis(ring, v, w).items()}
+                         for v, w in koszul_basis_multigraded(ring, i + 1, u)]
+                dim = dense_homology_dim(d_in, d_out, len(below))
+                if dim:
+                    assert in_lattice, (u, i)
+                    expected[(i, j)] = expected.get((i, j), 0) + dim
+    assert H.dims() == expected
+
+
 def test_bigraded_slice_route_agrees_on_monomial_ring():
     # force the generic bigraded slices and compare with the multidegree route
     ring = build_path_ring(4)
