@@ -23,12 +23,17 @@ no standard cofactor, so the standard monomials are the non-pivot positions;
 NF(M) is phi(M) reduced by the echelon, memoized per monomial; and the
 reduced Groebner basis is M - NF(M) for the pivots M whose cofactors M/x_i
 are all standard.
+
+Inside the ring a normal form is an int vector over one positive denominator
+(1 over GF(p)), so phi and the echelon never touch a Fraction; field elements
+are made only in ``normal_form``, ``mono_product`` and ``groebner``.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import inf
+from fractions import Fraction
+from math import gcd, inf, lcm
 
 from .fields import QQ, Field
 from .sparse import FieldEchelon
@@ -154,7 +159,7 @@ class QuotientRing:
         self._levels: list = []  # degree -> (W_d monomials, their positions, echelon)
         self._gb: dict = {}  # degree -> reduced Groebner basis elements of that degree
         self._std: dict[int, tuple] = {}
-        self._nf: dict = {}  # monomial -> its normal form
+        self._nf: dict = {}  # monomial -> its normal form, see _nf_int
         self._products: dict = {}  # (monomial, monomial) -> normal form of the product
 
     @property
@@ -178,46 +183,77 @@ class QuotientRing:
             k = len(levels)
             monos = self._cofactor_span(k)
             index = {m: pos for pos, m in enumerate(monos)}
-            rows = [self._into(g, index) for g in self.relations if poly_degree(g) == k]
+            ech = FieldEchelon(self.field)
+            levels.append((monos, index, ech))
+            if not monos:  # no row can add a pivot
+                continue
+            rows = [self._into(g, index)[0] for g in self.relations if poly_degree(g) == k]
             if k:
-                below, _, ech = levels[k - 1]
-                for _, col in ech.stored_columns():
+                below, _, ech_below = levels[k - 1]
+                for _, col in ech_below.stored_columns():
                     e = [(below[q], c) for q, c in col.items()]
                     for j in range(n):
-                        rows.append(self._into({_shift(m, j, 1): c for m, c in e}, index))
-            ech = FieldEchelon(self.field)
-            # by descending leading position, which keeps the reductions short
+                        rows.append(self._into({_shift(m, j, 1): c for m, c in e}, index)[0])
+            # by descending leading position, which keeps the reductions short;
+            # once every position is a pivot, the other rows reduce to zero
             for row in sorted(filter(None, rows), key=min, reverse=True):
+                if ech.rank == len(monos):
+                    break
                 ech.insert(row)
-            levels.append((monos, index, ech))
         return levels[d]
 
-    def _into(self, p: dict, index: dict) -> dict:
-        """phi(p) for a polynomial p of degree d: its W_d coordinates."""
-        terms = []
+    def _into(self, p: dict, index: dict) -> tuple:
+        """phi(p) for a polynomial p of degree d as ``(row, scale)``: its
+        W_d coordinates are ``row / scale``, with ints in ``row``."""
+        scale = lcm(*(c.denominator for c in p.values()))
+        row, cofactors = {}, []
         for m, c in p.items():
+            c = c.numerator * (scale // c.denominator)
             pos = index.get(m)
             if pos is not None:
-                terms.append((pos, c))
+                row[pos] = c
             else:
                 k = next(k for k, e in enumerate(m) if e)
-                terms += ((index[_shift(s, k, 1)], c * c2)
-                          for s, c2 in self._monomial_nf(_shift(m, k, -1)).items())
-        return self.field.collect(terms)
+                cofactors.append((k, c, *self._nf_int(_shift(m, k, -1))[:2]))
+        den = lcm(*(nf_den for _, _, _, nf_den in cofactors))
+        for pos in row:
+            row[pos] *= den
+        for k, c, nf, nf_den in cofactors:
+            c *= den // nf_den
+            for s, v in nf.items():
+                pos = index[_shift(s, k, 1)]
+                row[pos] = row.get(pos, 0) + c * v
+        q = self.field.p  # over GF(p) every denominator is 1
+        return {pos: r for pos, v in row.items() if (r := v % q if q else v)}, scale * den
 
-    def _monomial_nf(self, m: Monomial) -> dict:
-        """Normal form of one monomial, descending grevlex, memoized."""
+    def _nf_int(self, m: Monomial) -> tuple:
+        """NF(m) as ``(row, den)``, memoized: ``row / den`` with an int ``row`` over
+        standard monomials (descending grevlex) and ``den > 0``, 1 over GF(p).
+        Over QQ ``_monomial_nf`` adds NF(m) in Fractions as a third item."""
         hit = self._nf.get(m)
         if hit is None:
             if self.is_monomial:
                 standard = not any(mono_divides(lm, m) for lm in self._lms)
-                hit = {m: self.field.one} if standard else {}
+                hit = ({m: 1} if standard else {}), 1
             else:
                 monos, index, ech = self._level(sum(m))
-                residual, _ = ech.reduce(self._into({m: 1}, index))
-                hit = {monos[pos]: residual[pos] for pos in sorted(residual)}
+                row, scale = self._into({m: 1}, index)
+                vec, ech_scale = ech.residual(row)
+                den = scale * ech_scale  # NF(m) = vec / den
+                g = gcd(den, *vec.values())
+                hit = {monos[pos]: vec[pos] // g for pos in sorted(vec)}, den // g
             self._nf[m] = hit
         return hit
+
+    def _monomial_nf(self, m: Monomial) -> dict:
+        """Normal form of one monomial over the field, descending grevlex."""
+        hit = self._nf_int(m)
+        if self.field.p:
+            return hit[0]
+        if len(hit) == 2:  # made once, so products of equal monomials share it
+            nf, den = hit
+            hit = self._nf[m] = (nf, den, {s: Fraction(v, den) for s, v in nf.items()})
+        return hit[2]
 
     def groebner(self, degree: int) -> list[dict]:
         """The reduced Groebner basis elements of degree <= ``degree``."""
@@ -260,7 +296,7 @@ class QuotientRing:
     def is_standard(self, m: Monomial) -> bool:
         """True iff m is not a leading monomial of the ideal: a normal form
         is supported on standard monomials, so m is one iff NF(m) contains m."""
-        return m in self._monomial_nf(m)
+        return m in self._nf_int(m)[0]
 
     def dim(self, d: int) -> int:
         return len(self.std_monomials(d))

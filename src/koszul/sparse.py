@@ -8,7 +8,8 @@ and reducing an incoming column is a single ascending pass over its support.
 The loop runs on plain ints: over the rationals on integer-scaled columns with
 gcd stripping, which keeps it in machine-int territory for the matrices that
 occur here (mostly +-1 entries), over GF(p) on residues.  ``FieldEchelon``
-only adds the field-element view that quotient coordinates need.
+keeps its residuals on ints too; only ``reduce`` and ``column`` hand out
+field elements.
 """
 
 from __future__ import annotations
@@ -245,8 +246,8 @@ class FieldEchelon(IntEchelon):
     Reductions are full: the residual is zero at every pivot.  Combos are
     coordinates over the stored columns normalized to pivot 1 (``column``);
     columns inserted with ``tag=None`` take no coordinate, so they are
-    modded out.  Residuals, combos and columns are handed out as field
-    elements.
+    modded out.  ``residual`` and ``insert`` stay on ints; ``reduce`` and
+    ``column`` hand out field elements.
     """
 
     __slots__ = ("field",)
@@ -275,28 +276,30 @@ class FieldEchelon(IntEchelon):
         combo = {_COL: scale}
         return self._reduce(vec, combo, True), vec, combo
 
-    def _coordinates(self, vec: dict, combo: dict) -> tuple:
-        scale = combo.pop(_COL)
-        return (self._export(vec, scale),
-                self._export({t: -c for t, c in combo.items()}, scale))
+    def residual(self, col: dict) -> tuple:
+        """``(vec, scale)``: the residual of ``col`` is ``vec / scale``, with
+        an int vector and ``scale > 0`` (1 over GF(p))."""
+        _, vec, combo = self._reduced(col)
+        return vec, combo[_COL]
 
     def reduce(self, col: dict):
         """Return ``(residual, combo)`` with residual = col - sum(combo[t] * column_t)."""
         _, vec, combo = self._reduced(col)
-        return self._coordinates(vec, combo)
+        scale = combo.pop(_COL)
+        return (self._export(vec, scale),
+                self._export({t: -c for t, c in combo.items()}, scale))
 
     def insert(self, col: dict, tag=None):
         """Reduce and, if independent, store the normalized residual.
 
-        Returns ``(residual, combo)`` from the reduction; the residual is empty
+        Returns ``(vec, scale)`` as ``residual`` does; ``vec`` is empty
         exactly when col was dependent on the stored columns.
         """
         lead, vec, combo = self._reduced(col)
-        out = self._coordinates(vec, combo)
         if lead is not None:
-            tail, pv, _ = self._normalize(lead, vec, None)
+            tail, pv, _ = self._normalize(lead, dict(vec), None)  # vec is returned whole
             self.pivots[lead] = (tail, pv, {} if tag is None else {tag: pv})
-        return out
+        return vec, combo[_COL]
 
 
 def rank_of_columns(columns, field: Field = QQ) -> int:

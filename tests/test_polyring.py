@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszul import QQ, Field, QuotientRing, parse_polynomial, poly_to_string
@@ -324,7 +324,8 @@ def test_fields_reject_floats():
 @st.composite
 def small_ideals(draw):
     """(p, n, relations): a few homogeneous relations of degree 2 or 3 with
-    small integer coefficients, some of which vanish mod p (p = 0 is QQ)."""
+    small integer coefficients, some of which vanish mod p (p = 0 is QQ);
+    over QQ a coefficient may also be a fraction with denominator up to 5."""
     p = draw(st.sampled_from([0, 2, 3, 5, 7]))
     n = draw(st.integers(2, 4))
     relations = []
@@ -333,11 +334,16 @@ def small_ideals(draw):
         support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4,
                                 unique=True))
         relations.append({m: draw(st.integers(-7, 7)) for m in support})
+        if p == 0 and draw(st.booleans()):
+            relations[-1] = {m: Fraction(c, draw(st.integers(1, 5)))
+                             for m, c in relations[-1].items()}
     return p, n, relations
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_ideals())
+# x^3 lies outside W_3, so phi(x^3) = x NF(x^2) = -x y^2 / 2 carries the scale 2
+@example((0, 2, [{(2, 0): 2, (0, 2): 1}, {(1, 2): Fraction(1, 3), (0, 3): 1}]))
 def test_quotient_ring_matches_macaulay_oracle(ideal):
     p, n, relations = ideal
     ring = QuotientRing(n, relations, Field(p))
@@ -358,6 +364,40 @@ def test_quotient_ring_matches_macaulay_oracle(ideal):
         assert dense_rank_kernel(multiples + differences, len(monos), p)[0] == rank
     basis, _ = groebner_basis(relations, ring.field, 6)
     assert all(in_field(g.values(), ring.field) for g in basis)
+
+
+def _quotient_answers(ring, top):
+    """Groebner basis, standard monomials and every monomial NF through ``top``."""
+    monos = [m for d in range(top + 1) for m in monomials_of_degree(ring.n, d)]
+    return (ring.groebner(top), [ring.std_monomials(d) for d in range(top + 1)],
+            [ring.normal_form({m: 1}) for m in monos])
+
+
+_UNITS = st.lists(st.tuples(st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 5)),
+                  min_size=3, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_ideals(), _UNITS)
+@example((0, 2, [{(2, 0): 2, (0, 2): 1}, {(1, 2): Fraction(1, 3), (0, 3): 1}]),
+         [(-3, 2), (5, 1), (1, 1)])
+def test_quotient_ring_invariant_under_scaling_relations(ideal, units):
+    """Multiplying each relation by a nonzero constant changes no answer, and
+    the normal form is linear over k[x]: NF(x_j NF(M)) == NF(x_j M)."""
+    p, n, relations = ideal
+    field = Field(p)
+    scaled = [{m: field.mul(field(c), field(Fraction(a, b) if p == 0 else a) or 1)
+               for m, c in rel.items()} for rel, (a, b) in zip(relations, units)]
+    ring = QuotientRing(n, relations, field)
+    ring_scaled = QuotientRing(n, scaled, field)
+    assert _quotient_answers(ring_scaled, 6) == _quotient_answers(ring, 6)
+    for rel in relations:
+        assert ring_scaled.contains(rel)
+    for m in (m for d in range(5) for m in monomials_of_degree(n, d)):
+        for j in range(n):
+            x_j = tuple(int(k == j) for k in range(n))
+            assert (ring_scaled.multiply_mod({x_j: 1}, ring_scaled.normal_form({m: 1}))
+                    == ring_scaled.normal_form({mono_mul(x_j, m): 1}))
 
 
 def test_field_orders_decided_by_miller_rabin():

@@ -280,6 +280,28 @@ def test_field_echelon_coordinates_property(p, boundary, tagged, probes):
         assert dense_rank_kernel(boundary + [diff], nrows, p)[0] == boundary_rank
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([0, 2, 5, 13]), sparse_columns(), sparse_columns())
+def test_field_echelon_int_residual_contract(p, stored, probes):
+    """``residual`` is ``reduce``'s residual as an int vector over a positive
+    scale, and ``insert(...)[0]`` is empty exactly for a dependent column."""
+    field = Field(p)
+    convert = (lambda cols: _prime_columns(cols, p)) if p else list
+    stored, probes = (convert(cols) for _, cols in (stored, probes))
+    nrows = 1 + max((r for col in stored + probes for r in col), default=0)
+    ech = FieldEchelon(field)
+    for t, col in enumerate(stored):
+        vec, scale = ech.insert(col, tag=t if t % 2 else None)
+        rank_before = dense_rank_kernel(stored[:t], nrows, p)[0]
+        assert bool(vec) == (dense_rank_kernel(stored[:t + 1], nrows, p)[0] > rank_before)
+        assert all(type(v) is int for v in vec.values()) and type(scale) is int
+    for col in stored + probes:
+        vec, scale = ech.residual(col)
+        assert type(scale) is int and scale > 0 and (scale == 1 or not p)
+        exported = {k: x for k, v in vec.items() if (x := field.div(field(v), field(scale)))}
+        assert exported == ech.reduce(col)[0]
+
+
 @st.composite
 def symmetric_matrices(draw):
     n = draw(st.integers(1, 4))
