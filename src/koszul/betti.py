@@ -294,6 +294,7 @@ class ResolutionEngine:
                                                               total_bound - p)
 
         zero = self.zero
+        least = self._components[0][0] if self._components else 0
         self.gens = [[zero]]
         bases: dict = {}      # grade -> (weight, basis keys of F_{p-1})
         self._push(bases, 0, zero, 0, reach(0))
@@ -321,12 +322,22 @@ class ResolutionEngine:
                 relations = []
                 for i, (k, g, a) in enumerate(moved):
                     image = self._act(g, a, maps[k])
+                    if not image:   # the relation that insert({}, tag=i) returns
+                        if keep:
+                            relations.append({i: 1})
+                        continue
                     relation = ech.insert({at[key]: c for key, c in image.items()},
                                           tag=i)
                     if keep and relation is not None:
                         relations.append(relation)
                 # the span is inside Z_{p-1}(G): the rank gap counts new generators
                 missing = len(cyc) - ech.rank
+                if not keep and w + least > reach(p):
+                    # step p + 1 skips G and no product of a generator here is
+                    # within reach(p): nothing reads their maps or basis keys
+                    gens += [G] * missing
+                    maps += [None] * missing
+                    continue
                 ech.track = False   # cycles are only tested for independence
                 for z in cyc:
                     if not missing:

@@ -157,6 +157,7 @@ class QuotientRing:
                      key=grevlex_key) if self.is_monomial else []
         self._lms = [m for m in lms if not any(lm != m and mono_divides(lm, m) for lm in lms)]
         self._levels: list = []  # degree -> (W_d monomials, their positions, echelon)
+        self._up: list = []  # degree d -> k -> {s: position of x_k s in W_d}, s in std(d - 1)
         self._gb: dict = {}  # degree -> reduced Groebner basis elements of that degree
         self._std: dict[int, tuple] = {}
         self._nf: dict = {}  # monomial -> its normal form, see _nf_int
@@ -185,15 +186,17 @@ class QuotientRing:
             index = {m: pos for pos, m in enumerate(monos)}
             ech = FieldEchelon(self.field)
             levels.append((monos, index, ech))
+            self._up.append([{s: index[_shift(s, j, 1)] for s in self.std_monomials(k - 1)}
+                             for j in range(n)])
             if not monos:  # no row can add a pivot
                 continue
-            rows = [self._into(g, index)[0] for g in self.relations if poly_degree(g) == k]
+            rows = [self._into(g, k)[0] for g in self.relations if poly_degree(g) == k]
             if k:
                 below, _, ech_below = levels[k - 1]
                 for _, col in ech_below.stored_columns():
                     e = [(below[q], c) for q, c in col.items()]
                     for j in range(n):
-                        rows.append(self._into({_shift(m, j, 1): c for m, c in e}, index)[0])
+                        rows.append(self._into({_shift(m, j, 1): c for m, c in e}, k)[0])
             # by descending leading position, which keeps the reductions short;
             # once every position is a pivot, the other rows reduce to zero
             for row in sorted(filter(None, rows), key=min, reverse=True):
@@ -202,9 +205,10 @@ class QuotientRing:
                 ech.insert(row)
         return levels[d]
 
-    def _into(self, p: dict, index: dict) -> tuple:
+    def _into(self, p: dict, d: int) -> tuple:
         """phi(p) for a polynomial p of degree d as ``(row, scale)``: its
         W_d coordinates are ``row / scale``, with ints in ``row``."""
+        index, up = self._levels[d][1], self._up[d]
         scale = lcm(*(c.denominator for c in p.values()))
         row, cofactors = {}, []
         for m, c in p.items():
@@ -220,8 +224,9 @@ class QuotientRing:
             row[pos] *= den
         for k, c, nf, nf_den in cofactors:
             c *= den // nf_den
+            up_k = up[k]
             for s, v in nf.items():
-                pos = index[_shift(s, k, 1)]
+                pos = up_k[s]
                 row[pos] = row.get(pos, 0) + c * v
         q = self.field.p  # over GF(p) every denominator is 1
         return {pos: r for pos, v in row.items() if (r := v % q if q else v)}, scale * den
@@ -236,8 +241,8 @@ class QuotientRing:
                 standard = not any(mono_divides(lm, m) for lm in self._lms)
                 hit = ({m: 1} if standard else {}), 1
             else:
-                monos, index, ech = self._level(sum(m))
-                row, scale = self._into({m: 1}, index)
+                monos, _, ech = self._level(sum(m))
+                row, scale = self._into({m: 1}, sum(m))
                 vec, ech_scale = ech.residual(row)
                 den = scale * ech_scale  # NF(m) = vec / den
                 g = gcd(den, *vec.values())

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -172,6 +173,83 @@ def test_dim_reads_an_existing_slice_without_ranking():
     H2.coords_of_cycle(1, 2, cycle)   # builds the (1, 2) slice
     assert H2.dim(1, 2) == len(H.basis(1, 2))
     assert (1, 2) not in H2._ranks and (2, 2) not in H2._ranks
+
+
+_P = 2**31 - 1   # the prime the QQ ranks are first taken modulo
+
+
+def _count_qq_ranks(monkeypatch):
+    """Count the ranks taken over QQ by the homology module (the modular
+    pass ranks over GF(_P))."""
+    module = importlib.import_module("koszul.homology")
+    calls = []
+    real = module.rank_of_columns
+
+    def counted(columns, field=QQ):
+        if field == QQ:
+            calls.append(len(columns))
+        return real(columns, field)
+
+    monkeypatch.setattr(module, "rank_of_columns", counted)
+    return calls
+
+
+def _assert_dims_match_dense_oracle(ring, j_max):
+    H = homology(ring, ring.n, j_max)
+    pairs = [(i, j) for j in range(1, j_max + 1) for i in range(1, min(j, ring.n) + 1)]
+    assert {ij: H.dim(*ij) for ij in pairs} == {ij: _dense_oracle_dim(ring, *ij)
+                                                  for ij in pairs}
+    return H
+
+
+def test_qq_rank_falls_back_where_a_denominator_vanishes_mod_p(monkeypatch):
+    qq_ranks = _count_qq_ranks(monkeypatch)
+    ring = ring_from_strings(["x", "y"], [f"x^2 + 1/{_P}*y^2", "x*y"])
+    H = _assert_dims_match_dense_oracle(ring, 5)
+    assert H.dims() == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+    assert None in H._mod_ranks.values()   # some slice has no reduction mod P
+    assert qq_ranks
+
+
+def test_qq_rank_falls_back_where_the_rank_drops_mod_p(monkeypatch):
+    # a complete intersection over QQ; mod P the first relation is x^2, and
+    # d at (2, 3) drops from rank 2 to 1, with homology on both sides
+    qq_ranks = _count_qq_ranks(monkeypatch)
+    ring = ring_from_strings(["x", "y"], [f"x^2 + {_P}*y^2", "x*y"])
+    H = _assert_dims_match_dense_oracle(ring, 5)
+    assert H.dims() == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+    assert H._mod_ranks[(2, 3)] == 1 and H._ranks[(2, 3)] == 2
+    assert qq_ranks
+
+
+def test_seeded_qq_quadrics_rank_almost_only_mod_p(monkeypatch):
+    # the benchmark's QQ ring and bound: the modular ranks certify themselves
+    qq_ranks = _count_qq_ranks(monkeypatch)
+    ring = generic_quadrics_ring(QQ)
+    assert homology(ring, ring.n, 4).dims() == {(0, 0): 1, (1, 2): 5, (2, 4): 10}
+    assert len(qq_ranks) <= 1
+
+
+@st.composite
+def fractional_quadric_rings(draw):
+    """2 or 3 quadrics in 3 variables over QQ with fractional coefficients,
+    some of them with numerator or denominator a multiple of _P."""
+    monomials = [tuple(sum(1 for k in pair if k == v) for v in range(3))
+                 for pair in itertools.combinations_with_replacement(range(3), 2)]
+    coefficient = st.one_of(
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5)),
+        st.sampled_from([Fraction(_P), Fraction(1, _P), Fraction(-2 * _P, 3)]))
+    relations = draw(st.lists(st.lists(coefficient, min_size=len(monomials),
+                                       max_size=len(monomials)),
+                              min_size=2, max_size=3))
+    return QuotientRing(3, [{m: c for m, c in zip(monomials, cs) if c}
+                            for cs in relations])
+
+
+@settings(max_examples=30, deadline=None)
+@given(fractional_quadric_rings())
+def test_qq_dims_match_dense_oracle_on_fractional_rings(ring):
+    _assert_dims_match_dense_oracle(ring, 4)
 
 
 def test_positive_strands():
