@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import sub
 
 from .graded import GradedAlgebraData, add_grades
-from .series import SeriesTrunc, region_rect
+from .series import SeriesTrunc, region_rect, region_total
 from .sparse import IntEchelon, rank_of_columns
 
 
@@ -68,12 +68,12 @@ class BettiTable:
 
     def series(self) -> SeriesTrunc:
         """Bigraded Poincare truncation for single-degree grades."""
-        region = region_rect(self.p_max, self.weight_max)
         coeffs: dict = {}
         for (p, g), v in self.entries.items():
             coeffs[(p, g[0])] = coeffs.get((p, g[0]), 0) + v
-        if self.total_bound is not None:
-            from .series import region_total
+        if self.total_bound is None:
+            region = region_rect(self.p_max, self.weight_max)
+        else:
             region = region_total(self.total_bound)
         return SeriesTrunc(coeffs, region, check=False)
 

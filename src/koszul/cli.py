@@ -55,6 +55,14 @@ def _field_spec_from_flag(text: str):
     raise UsageError(f'--field must be "QQ" or "F<p>", got {text!r}')
 
 
+def _field_from_flag(text: str | None):
+    """The field that --field names, QQ when the flag is not given."""
+    try:
+        return field_from_spec(_field_spec_from_flag(text or "QQ"))
+    except ValueError as exc:
+        raise UsageError(f"--field: {exc}")
+
+
 def _check_names(names: list, label: str) -> None:
     for k, name in enumerate(names):
         if not name:
@@ -233,7 +241,7 @@ def cmd_check(args) -> int:
         verdicts["theorem_b"] = report.to_json()
         failed_identity = report.status in ("LOGIC-FAILURE", "FAIL")
     elif what == "low-degree":
-        report = check_low_degree_betti(ring, j_max, engine_h=args.engine)
+        report = check_low_degree_betti(ring, j_max, engine=args.engine)
         verdicts["low_degree"] = report.to_json()
         failed_identity = not report.passed
     elif what == "prop-2-5":
@@ -246,7 +254,7 @@ def cmd_check(args) -> int:
     elapsed = round(time.perf_counter() - started, 3) if args.timing else None
     doc = result_document(f"check:{what}", digest, bounds, tables,
                           verdicts, elapsed)
-    emit(doc, args.format)
+    emit(doc, "json")
     return 1 if failed_identity else 0
 
 
@@ -257,10 +265,7 @@ def _parse_inline_quadrics(args):
     if names is None:
         raise UsageError("--family ci needs --variables")
     _check_names(names, "--variables")
-    try:
-        field = field_from_spec(_field_spec_from_flag(args.field or "QQ"))
-    except ValueError as exc:
-        raise UsageError(f"--field: {exc}")
+    field = _field_from_flag(args.field)
     quadrics = []
     for text in args.quadrics.split(","):
         try:
@@ -290,22 +295,22 @@ def cmd_family(args) -> int:
     elif family == "gorenstein":
         if not args.ring:
             raise UsageError("--family gorenstein needs a ring file")
-        ring, digest = load_ring(args.ring)
+        ring, digest = load_ring(args.ring, args.field)
         cert = _certify(short_gorenstein_certify, ring)
     elif family == "three-rel":
         if not args.ring:
             raise UsageError("--family three-rel needs a ring file")
-        ring, digest = load_ring(args.ring)
+        ring, digest = load_ring(args.ring, args.field)
         cert = _certify(three_relation_certify, ring)
     elif family == "path":
         if args.n is None or args.n < 3:
             raise UsageError("--family path needs -n >= 3")
-        ring, cert = path_certify(args.n)
+        ring, cert = path_certify(args.n, _field_from_flag(args.field))
         digest = None
     elif family == "cycle":
         if args.n is None or args.n < 3:
             raise UsageError("--family cycle needs -n >= 3")
-        ring = build_cycle_ring(args.n)
+        ring = build_cycle_ring(args.n, _field_from_flag(args.field))
         H = homology(ring, ring.n, args.n)
         v = is_strand_koszul_up_to(H, min(3, args.max_hom or 3), args.n,
                                    trigraded=True)
@@ -314,7 +319,7 @@ def cmd_family(args) -> int:
                               {"homology_dims": {f"{i},{j}": d for (i, j), d
                                                  in sorted(H.dims().items())}},
                               {"strand_koszul": v.to_json()}, elapsed)
-        emit(doc, args.format)
+        emit(doc, "json")
         return 0
     else:
         raise UsageError(f"unknown family {family!r}")
@@ -322,7 +327,7 @@ def cmd_family(args) -> int:
     doc = result_document(f"family:{family}", digest,
                           {k: v for k, v in cert.verdict.bound.items()},
                           tables, {"family": cert.to_json()}, elapsed)
-    emit(doc, args.format)
+    emit(doc, "json")
     return 0 if cert.verdict.status != "INCONSISTENT" else 1
 
 
@@ -344,19 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--field", default=None,
-                       help='override the ring document field: "QQ" or "F<p>"')
+                       help='the coefficient field, "QQ" or "F<p>"; it '
+                            "overrides a ring document's field")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing in the output document")
-        p.add_argument("--engine", choices=("auto", "bar", "resolution"),
-                       default="auto")
 
     p_hom = sub.add_parser("homology", help="Koszul homology dimension table")
     p_hom.add_argument("ring", help="ring document (JSON)")
     p_hom.add_argument("--max-hom", type=_nonnegative, default=None)
     p_hom.add_argument("--max-int", type=_nonnegative, default=None)
     p_hom.add_argument("--multigraded", action="store_true")
+    p_hom.add_argument("--format", choices=("json", "table"), default="json")
     common(p_hom)
     p_hom.set_defaults(func=cmd_homology)
 
@@ -369,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--strand-route", action="store_true",
                          help="test strand-Koszulness through the strand "
                               "totalization instead of trigraded Betti numbers")
+    p_check.add_argument("--engine", choices=("auto", "bar", "resolution"),
+                         default="auto")
     common(p_check)
     p_check.set_defaults(func=cmd_check)
 

@@ -23,9 +23,8 @@ from .polyring import QuotientRing, grevlex_key
 from .sparse import FieldEchelon, kernel_of_columns, rank_of_columns
 
 
-# Over QQ, ranks of the bigraded differential are first taken mod this prime.
-_P = 2**31 - 1
-_FP = Field(_P)
+# Over QQ, ranks of the bigraded differential are first taken mod P = 2^31 - 1.
+_FP = Field(2**31 - 1)
 
 
 def koszul_basis(ring: QuotientRing, i: int, j: int) -> tuple:
@@ -97,10 +96,6 @@ class HomologyClass:
     index: int | tuple
     representative: dict = dc_field(compare=False, hash=False)
     multidegree: tuple | None = dc_field(default=None, compare=True)
-
-    @property
-    def strand(self) -> int:
-        return self.j - self.i
 
 
 class _Slice:
@@ -179,10 +174,7 @@ class KoszulHomologyAlgebra:
         # basis(i, j) under (i, j)
         self._complex_bases: dict = {}
         self._ranks: dict = {}
-        # bigraded over QQ: (i, j) -> rank mod _P, or None where a denominator
-        # vanishes mod _P; and the columns of each rank not yet settled
-        self._mod_ranks: dict = {}
-        self._pending: dict = {}
+        self._mod_ranks: dict = {}   # bigraded over QQ: (i, j) -> rank mod P
         self._slices: dict = {}
         self._bases: dict = {}
         self._product_cache: dict = {}
@@ -213,7 +205,7 @@ class KoszulHomologyAlgebra:
     def _rank(self, i: int, grade) -> int:
         """Rank of the differential leaving K_i in one slice, exact.
 
-        Over QQ on the bigraded route it is certified from ranks mod _P
+        Over QQ on the bigraded route it is certified from ranks mod P
         (``_certified_rank``); elsewhere it is taken in the field.
         """
         key = (i, grade)
@@ -221,62 +213,49 @@ class KoszulHomologyAlgebra:
         if hit is None:
             if self.multigraded or self.field.p:
                 cols = self._columns(i, grade)
-                hit = self._ranks[key] = rank_of_columns(cols, self.field) if cols else 0
+                hit = rank_of_columns(cols, self.field) if cols else 0
             else:
                 hit = self._certified_rank(i, grade)
+            self._ranks[key] = hit
         return hit
 
-    def _rank_mod_p(self, i: int, j: int):
+    def _rank_mod_p(self, i: int, j: int) -> int:
         """A lower bound for rank d_{i,j} over QQ: the exact rank if known,
-        else the rank mod _P, memoized; None if a denominator vanishes mod _P.
+        else the rank mod P, memoized.
 
-        Scaling each column by the lcm of its denominators, a unit mod _P,
-        makes the matrix integral without changing either rank, and the rank
-        of an integer matrix mod _P never exceeds its rank over QQ.  The
-        columns are kept until the rank is settled, for the exact fallback.
+        ``rank_of_columns`` reads a column mod P as its multiple by the lcm
+        of its denominators, which keeps the rank over QQ; and the rank of an
+        integer matrix mod P never exceeds its rank over QQ, whether or not
+        P divides a denominator.
         """
         key = (i, j)
         if key in self._ranks:
             return self._ranks[key]
         if key not in self._mod_ranks:
-            cols = self._pending[key] = self._columns(i, j)
-            try:
-                mod = [{k: r for k, v in col.items() if (r := _FP(v))} for col in cols]
-            except ZeroDivisionError:
-                self._mod_ranks[key] = None
-            else:
-                self._mod_ranks[key] = rank_of_columns(mod, _FP) if mod else 0
+            cols = self._columns(i, j)
+            self._mod_ranks[key] = rank_of_columns(cols, _FP) if cols else 0
         return self._mod_ranks[key]
 
-    def _settle(self, i: int, j: int, rank: int) -> int:
-        self._ranks[(i, j)] = rank
-        self._pending.pop((i, j), None)
-        return rank
-
     def _certified_rank(self, i: int, j: int) -> int:
-        """rank d_{i,j} over QQ, read from ranks mod _P where they certify it.
+        """rank d_{i,j} over QQ, read from ranks mod P where they certify it.
 
         With r_P <= r for every rank and r(i) + r(i+1) <= dim K_i (as d^2 = 0),
         r_P(i) is exact if it equals min(rows, cols), or if a neighbouring
         bound is tight: dim K_i = r_P(i) + r_P(i+1), which settles both ranks,
-        or dim K_{i-1} = r_P(i-1) + r_P(i).  Otherwise the same columns are
-        ranked over QQ.
+        or dim K_{i-1} = r_P(i-1) + r_P(i).  Otherwise the columns are ranked
+        over QQ.
         """
         r = self._rank_mod_p(i, j)
-        if r is not None:
-            here = len(self._complex_basis(i, j))
-            below = len(self._complex_basis(i - 1, j))
-            if r == min(here, below):
-                return self._settle(i, j, r)
-            down = self._rank_mod_p(i - 1, j)
-            if down is not None and down + r == below:
-                self._settle(i - 1, j, down)
-                return self._settle(i, j, r)
-            up = self._rank_mod_p(i + 1, j)
-            if up is not None and r + up == here:
-                self._settle(i + 1, j, up)
-                return self._settle(i, j, r)
-        return self._settle(i, j, rank_of_columns(self._pending[(i, j)], QQ))
+        here = len(self._complex_basis(i, j))
+        below = len(self._complex_basis(i - 1, j))
+        if r == min(here, below):
+            return r
+        for k, size in ((i - 1, below), (i + 1, here)):
+            other = self._rank_mod_p(k, j)
+            if r + other == size:
+                self._ranks[(k, j)] = other
+                return r
+        return rank_of_columns(self._columns(i, j), QQ)
 
     def _slice(self, i: int, grade) -> _Slice:
         key = (i, grade)

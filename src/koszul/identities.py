@@ -111,17 +111,16 @@ def check_hilbert_identity(R: QuotientRing, D: int, engine: str = "auto") -> Che
 
 
 def check_low_degree_betti(R: QuotientRing, j_max: int,
-                           engine_r: str = "bar",
-                           engine_h: str = "auto") -> CheckReport:
+                           engine: str = "auto") -> CheckReport:
     """The four low-degree relations between beta^R and trigraded beta^H.
 
-    Both sides come from independent routes: the bar complex over R versus
-    the bar complex over H (plus binomials in the embedding dimension).
+    Both sides come from independent routes: Tor over R versus Tor over H
+    (plus binomials in the embedding dimension), each from ``engine``.
     """
     n = R.n
     A = ring_algebra_data(R, j_max)
-    tR = betti_table(A, 4, j_max, engine=engine_r)
-    tri = trigraded_betti(homology(R, n, j_max), 2, j_max, engine=engine_h)
+    tR = betti_table(A, 4, j_max, engine=engine)
+    tri = trigraded_betti(homology(R, n, j_max), 2, j_max, engine=engine)
 
     def bR(p, j):
         return tR.get(p, (j,))

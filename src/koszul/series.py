@@ -46,10 +46,6 @@ class SeriesTrunc:
                 self.coeffs[k] = v
 
     @classmethod
-    def one(cls, region: frozenset) -> "SeriesTrunc":
-        return cls({(0, 0): 1}, region, check=False)
-
-    @classmethod
     def binomial_power(cls, n: int, region: frozenset) -> "SeriesTrunc":
         """(1 + st)^n restricted to the region."""
         coeffs = {(i, i): comb(n, i) for i in range(n + 1) if (i, i) in region}
@@ -154,9 +150,6 @@ class SeriesTrunc:
             if j <= j_max:
                 out[j] += v if i % 2 == 0 else -v
         return out
-
-    def support(self):
-        return sorted(self.coeffs, key=lambda k: (k[0] + k[1], k))
 
     def __repr__(self):
         terms = [f"{v}*s^{i}*t^{j}" for (i, j), v in

@@ -9,12 +9,14 @@ The loop runs on plain ints: over the rationals on integer-scaled columns with
 gcd stripping, which keeps it in machine-int territory for the matrices that
 occur here (mostly +-1 entries), over GF(p) on residues.  ``FieldEchelon``
 keeps its residuals on ints too; only ``reduce`` and ``column`` hand out
-field elements.
+field elements.  Symmetric and alternating forms are brought to normal form
+by one congruence loop on sparse column vectors, ``_congruence``.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from math import gcd, lcm
 
 from .fields import QQ, Field
@@ -92,10 +94,10 @@ class IntEchelon:
     """Online column echelon over plain ints, exact over QQ (``p == 0``) and
     over GF(p).
 
-    Columns come in as dicts of field elements and are scaled to ints as they
-    enter: over QQ by the lcm of their denominators, over GF(p) to residues in
-    ``range(p)``.  A stored column is kept as its tail (the entries past its
-    pivot, its minimal position) and its pivot value: over QQ a primitive
+    Columns come in as dicts of ints and Fractions and are scaled to ints as
+    they enter: by the lcm of their denominators, and over GF(p) to residues
+    in ``range(p)``.  A stored column is kept as its tail (the entries past
+    its pivot, its minimal position) and its pivot value: over QQ a primitive
     integer vector with a positive pivot, over GF(p) residues with pivot 1.
     Over GF(p) entries are reduced ``% p`` only when they are read.
 
@@ -124,21 +126,24 @@ class IntEchelon:
             yield pos, {pos: pv} | tail
 
     def _scaled(self, col: dict) -> tuple:
-        """``col`` as an int vector, and the factor it was scaled by."""
+        """``col`` as an int vector, and the factor it was scaled by: the lcm
+        of its denominators, then over GF(p) residues.  Over GF(p) a rational
+        column is thus read as that integer multiple of itself."""
         p = self.p
-        if p:
-            return {k: r for k, v in col.items() if (r := v % p)}, 1
         for v in col.values():
             if type(v) is not int:
                 break
         else:
-            return dict(col), 1
+            return ({k: r for k, v in col.items() if (r := v % p)} if p
+                    else dict(col)), 1
         denom = 1
         for v in col.values():  # an int or a Fraction
             if v.denominator != 1:
                 denom = lcm(denom, v.denominator)
-        return {k: v.numerator * (denom // v.denominator)
-                for k, v in col.items() if v}, denom
+        vec = {k: v.numerator * (denom // v.denominator) for k, v in col.items() if v}
+        if p:
+            vec = {k: r for k, v in vec.items() if (r := v % p)}
+        return vec, denom
 
     def _reduce(self, vec: dict, combo: dict | None, full: bool):
         """Eliminate the stored pivots from ``vec`` in place, by ascending
@@ -224,6 +229,8 @@ class IntEchelon:
         Untracked, a dependent column returns ``{}``.
         """
         vec, scale = self._scaled(col)
+        if self.track and self.p and not scale % self.p:
+            raise ZeroDivisionError(f"a denominator of column {tag!r} vanishes mod {self.p}")
         combo = {tag: scale} if self.track else None
         pos = self._reduce(vec, combo, False)
         if pos is not None:
@@ -321,19 +328,15 @@ def kernel_of_columns(columns, field: Field = QQ):
     for j, col in enumerate(columns):
         relation = ech.insert(col, tag=j)
         if relation is not None:
-            kernel.append(_normalize_kernel(relation, field))
+            inv = field.inv(field(relation[min(relation)]))
+            kernel.append({k: field.mul(inv, field(c))
+                           for k, c in sorted(relation.items())})
     return ech.rank, kernel
-
-
-def _normalize_kernel(vec: dict, field: Field) -> dict:
-    inv = field.inv(field(vec[min(vec)]))
-    return {k: field.mul(inv, field(v)) for k, v in sorted(vec.items())}
 
 
 def rank_kernel(m: SparseMatrix):
     """Rank and kernel basis of a sparse matrix; rank + len(kernel) == ncols."""
-    rank, kernel = kernel_of_columns(m.columns(), m.field)
-    return rank, kernel
+    return kernel_of_columns(m.columns(), m.field)
 
 
 def solve_in_image(m: SparseMatrix, b) -> dict | None:
@@ -342,9 +345,8 @@ def solve_in_image(m: SparseMatrix, b) -> dict | None:
         if len(b) != m.nrows:
             raise ValueError(f"vector length {len(b)} != {m.nrows} rows")
         b = {i: v for i, v in enumerate(b) if v}
-    else:
-        if any(not 0 <= k < m.nrows for k in b):
-            raise ValueError("vector index out of range")
+    elif any(not 0 <= k < m.nrows for k in b):
+        raise ValueError("vector index out of range")
     field = m.field
     ech = IntEchelon(field.p, track=True)
     for j, col in enumerate(m.columns()):
@@ -359,52 +361,13 @@ def solve_in_image(m: SparseMatrix, b) -> dict | None:
 
 def diagonalize_symmetric_form(g: SparseMatrix) -> SparseMatrix:
     """Change of basis P with P^T g P diagonal, for symmetric g over char != 2."""
-    field = g.field
-    if field.characteristic == 2:
+    if g.field.characteristic == 2:
         raise ValueError("symmetric diagonalization needs characteristic != 2")
     if g.nrows != g.ncols:
         raise ValueError("form matrix must be square")
-    n = g.nrows
-    G = [[field(g.entries.get((i, j), 0)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if G[i][j] != G[j][i]:
-                raise ValueError("form matrix is not symmetric")
-    P = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-
-    def col_op(dst, src, c):
-        # e_dst <- e_dst + c * e_src, applied to G (congruence) and P
-        for r in range(n):
-            G[r][dst] = field(G[r][dst] + c * G[r][src])
-        for r in range(n):
-            G[dst][r] = field(G[dst][r] + c * G[src][r])
-        for r in range(n):
-            P[r][dst] = field(P[r][dst] + c * P[r][src])
-
-    def col_swap(a, b):
-        for r in range(n):
-            G[r][a], G[r][b] = G[r][b], G[r][a]
-        G[a], G[b] = G[b], G[a]
-        P_cols = [(P[r][a], P[r][b]) for r in range(n)]
-        for r in range(n):
-            P[r][a], P[r][b] = P_cols[r][1], P_cols[r][0]
-
-    for k in range(n):
-        if not G[k][k]:
-            pivot = next((j for j in range(k + 1, n) if G[j][j]), None)
-            if pivot is not None:
-                col_swap(k, pivot)
-            else:
-                off = next((j for j in range(k + 1, n) if G[k][j]), None)
-                if off is None:
-                    continue
-                col_op(k, off, field.one)  # makes G[k][k] = 2*G[k][off] != 0
-        d = G[k][k]
-        for j in range(k + 1, n):
-            if G[k][j]:
-                col_op(j, k, field.neg(field.div(G[k][j], d)))
-    entries = {(i, j): P[i][j] for i in range(n) for j in range(n) if P[i][j]}
-    return SparseMatrix(n, n, entries, field)
+    if any(g.entries.get((j, i)) != x for (i, j), x in g.entries.items()):
+        raise ValueError("form matrix is not symmetric")
+    return _congruence(g, False)
 
 
 def symplectic_basis(g: SparseMatrix) -> SparseMatrix:
@@ -412,42 +375,62 @@ def symplectic_basis(g: SparseMatrix) -> SparseMatrix:
 
     Requires g alternating (zero diagonal, g^T = -g) and nondegenerate.
     """
-    field = g.field
-    n = g.nrows
-    if n != g.ncols:
+    if g.nrows != g.ncols:
         raise ValueError("form matrix must be square")
-    G = [[field(g.entries.get((i, j), 0)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if G[i][i]:
-            raise ValueError("form is not alternating")
-        for j in range(n):
-            if G[i][j] != field.neg(G[j][i]):
-                raise ValueError("form is not alternating")
-    if n % 2:
+    if any(i == j or g.entries.get((j, i)) != g.field.neg(x)
+           for (i, j), x in g.entries.items()):
+        raise ValueError("form is not alternating")
+    if g.nrows % 2:
         raise ValueError("alternating nondegenerate form needs even rank")
+    return _congruence(g, True)
 
-    def pair(u, v):
-        return field(sum(ui * gij * v[j] for i, ui in enumerate(u) if ui
-                         for j, gij in enumerate(G[i]) if gij and v[j]))
 
-    basis = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+def _congruence(g: SparseMatrix, alternating: bool) -> SparseMatrix:
+    """The columns of P, split off the standard basis one block at a time.
+
+    A block starts at the first remaining vector v, and the later vectors are
+    projected off it.  A symmetric form splits off [v]: if <v, v> == 0, the
+    first later vector of nonzero square is swapped in, or else the first
+    later partner of v, if any, is added to v.  An alternating form splits
+    off [v, f], f the first partner of v scaled to <v, f> == 1.
+    """
+    F = g.field
+    cols = g.columns()
+
+    def image(u: dict) -> dict:  # g u, so that <w, u> == dot(w, image(u))
+        return F.collect((r, a * x) for c, a in u.items() for r, x in cols[c].items())
+
+    def dot(w: dict, gu: dict):
+        return F(sum(a * gu[k] for k, a in w.items() if k in gu))
+
+    rest = [{k: F.one} for k in range(g.nrows)]
     out = []
-    while basis:
-        e = basis.pop(0)
-        partner = next((i for i, v in enumerate(basis) if pair(e, v)), None)
-        if partner is None:
-            raise ValueError("form is degenerate")
-        f = basis.pop(partner)
-        a = pair(e, f)
-        f = [field.div(v, a) for v in f]
-        reduced = []
-        for v in basis:
-            cf, ce = pair(e, v), pair(f, v)
-            # subtract components along the (e, f) hyperbolic plane
-            w = [field(v[i] - cf * f[i] + ce * e[i]) for i in range(n)]
-            reduced.append(w)
-        basis = reduced
-        out.append(e)
-        out.append(f)
-    entries = {(i, j): out[j][i] for j in range(n) for i in range(n) if out[j][i]}
-    return SparseMatrix(n, n, entries, field)
+    while rest:
+        v = rest.pop(0)
+        gv = image(v)
+        if alternating:
+            k = next((k for k, w in enumerate(rest) if dot(w, gv)), None)
+            if k is None:
+                raise ValueError("form is degenerate")
+            a = F.neg(dot(rest[k], gv))  # <v, f> == -<f, v>
+            f = {r: F.div(x, a) for r, x in rest.pop(k).items()}
+            # w - <v, w> f + <f, w> v == w + <w, v> f - <w, f> v
+            block = [(v, image(f)), (f, {r: F.neg(x) for r, x in gv.items()})]
+        else:
+            if not dot(v, gv):
+                k = next((k for k, w in enumerate(rest) if dot(w, image(w))), None)
+                if k is not None:
+                    v, rest[k] = rest[k], v
+                else:  # <v + w, v + w> == 2 <v, w>
+                    w = next((w for w in rest if dot(w, gv)), {})
+                    v = F.collect(itertools.chain(v.items(), w.items()))
+                gv = image(v)
+            d = dot(v, gv)
+            block = [(v, {r: F.div(x, d) for r, x in gv.items()} if d else {})]
+        out += (b for b, _ in block)
+        # w minus dot(w, dual) b for each block vector b and its dual covector
+        rest = [F.collect(itertools.chain(w.items(), (
+            (r, -c * x) for b, dual in block if (c := dot(w, dual))
+            for r, x in b.items()))) for w in rest]
+    return SparseMatrix(g.nrows, g.ncols, dict(sorted(
+        ((r, j), x) for j, col in enumerate(out) for r, x in col.items())), F)

@@ -80,7 +80,7 @@ def test_criterion_5_low_degree_betti_suite():
     rings = suite_rings()
     total = 0
     for name, ring in sorted(rings.items()):
-        report = check_low_degree_betti(ring, 6, engine_r="bar", engine_h="bar")
+        report = check_low_degree_betti(ring, 6, engine="bar")
         assert report.passed, (name, report.first_failure)
         total += len(report.data["equalities"])
     _report(5, f"all four low-degree Betti relations hold for j <= 6 "

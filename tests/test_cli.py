@@ -7,8 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import koszul.cli
+from koszul import QQ, Field
 from koszul.cli import load_ring, main
 from koszul.homology import multigraded_homology
+
+from test_golden_outputs import GOLDEN, GOR2, ring, run_case
 
 RING_63NE = {
     "field": "QQ",
@@ -240,6 +244,50 @@ def test_jobs_flag(tmp_path, capsys):
     path = write_ring(tmp_path, RING_PATH3)
     assert main(["homology", path, "--max-int", "4", "--jobs", "4"]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "@", "--engine", "bar"],
+    ["family", "--family", "path", "-n", "4", "--engine", "bar"],
+    ["check", "@", "--what", "koszul", "--bound", "4", "--format", "table"],
+    ["family", "--family", "path", "-n", "4", "--format", "table"],
+], ids=["homology-engine", "family-engine", "check-format", "family-format"])
+def test_flags_without_effect_are_rejected(tmp_path, capsys, argv):
+    # homology has no Tor engine to choose, and only the homology table has
+    # a text rendering
+    path = write_ring(tmp_path, RING_PATH3)
+    assert main([path if a == "@" else a for a in argv]) == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_family_field_applies_to_a_ring_document(tmp_path):
+    # the QQ document read over GF(7) is the GF(7) document
+    argv = ["family", "--family", "gorenstein", "--ring", "@", "--field", "F7"]
+    assert run_case(tmp_path, argv, ring(["x", "y"], GOR2)) == GOLDEN["gorenstein-n2-gf7"]
+
+
+@pytest.mark.parametrize("family, builder", [("path", "path_certify"),
+                                             ("cycle", "build_cycle_ring")])
+def test_family_field_applies_to_path_and_cycle(monkeypatch, capsys, family, builder):
+    fields = []
+    real = getattr(koszul.cli, builder)
+
+    def recorded(n, field):
+        fields.append(field)
+        return real(n, field)
+
+    def status(argv):
+        code, doc, _ = run(capsys, ["family", "--family", family, "-n", "5"] + argv)
+        assert code == 0
+        verdicts = doc["verdicts"]
+        return (verdicts["family"]["verdict"] if family == "path"
+                else verdicts["strand_koszul"])["status"]
+
+    monkeypatch.setattr(koszul.cli, builder, recorded)
+    assert status(["--field", "F3"]) == status([]) != "INCONSISTENT"
+    assert fields == [Field(3), QQ]
+    assert main(["family", "--family", family, "-n", "5", "--field", "F4"]) == 2
+    assert "--field" in capsys.readouterr().err
 
 
 def test_prime_field_ring(tmp_path, capsys):

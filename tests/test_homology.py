@@ -203,11 +203,23 @@ def _assert_dims_match_dense_oracle(ring, j_max):
 
 
 def test_qq_rank_falls_back_where_a_denominator_vanishes_mod_p(monkeypatch):
+    # mod P a column is read as its multiple by the lcm of its denominators,
+    # so a slice with P in a denominator is ranked mod P like any other
     qq_ranks = _count_qq_ranks(monkeypatch)
     ring = ring_from_strings(["x", "y"], [f"x^2 + 1/{_P}*y^2", "x*y"])
     H = _assert_dims_match_dense_oracle(ring, 5)
     assert H.dims() == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
-    assert None in H._mod_ranks.values()   # some slice has no reduction mod P
+    vanishing = {key for key in H._mod_ranks
+                 if any(c.denominator % _P == 0
+                        for col in H._columns(*key) for c in col.values())}
+    assert vanishing == {(1, 2), (2, 3)}   # x t_x maps to x^2 = -y^2/P, read as -y^2
+    assert all(H._ranks[key] == H._mod_ranks[key] for key in vanishing)
+    assert not qq_ranks
+    # x z = -y z/P: a column holding -1/P and 1 is read as -1 and P = 0 mod P,
+    # so the rank drops there and is taken over QQ
+    ring = ring_from_strings(["x", "y", "z"], [f"x*z + 1/{_P}*y*z"])
+    H = _assert_dims_match_dense_oracle(ring, 5)
+    assert H._mod_ranks[(2, 4)] == 11 and H._ranks[(2, 4)] == 12
     assert qq_ranks
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from koszul import QQ, Field
 from koszul.sparse import (FieldEchelon, SparseMatrix, diagonalize_symmetric_form,
-                           kernel_of_columns, rank_kernel, solve_in_image,
-                           symplectic_basis)
+                           kernel_of_columns, rank_kernel, rank_of_columns,
+                           solve_in_image, symplectic_basis)
 from koszul.homology import koszul_basis, differential_of_basis
 from koszul.families import build_path_ring
 
@@ -333,3 +335,103 @@ def test_diagonalize_property(g):
                               * g.entries.get((r, s), 0)
                               * P.entries.get((s, b), 0))
             assert total == 0
+
+
+def _seeded_forms(count=600, seed=20261019):
+    """Seeded square forms over QQ and GF(5, 7, 32003), sizes 1-6: symmetric
+    and alternating ones, some degenerate or of odd size, about one in ten
+    with an entry changed so that it is neither."""
+    rng = random.Random(seed)
+    fields = (QQ, Field(5), Field(7), Field(32003))
+    for t in range(count):
+        field = fields[t % len(fields)]
+        n = rng.randint(1, 6)
+        alternating = rng.random() < 0.5
+        density = rng.random()
+        entries = {}
+        for i in range(n):
+            for j in range(i + alternating, n):
+                if rng.random() > density:
+                    continue
+                v = rng.randint(-3, 3)
+                if not field.p and rng.random() < 0.3:
+                    v = Fraction(v, rng.randint(1, 4))
+                entries[(i, j)] = v
+                entries[(j, i)] = -v if alternating else v
+        if rng.random() < 0.1:
+            j = rng.randrange(n)
+            entries[(0, j)] = entries.get((0, j), 0) + 1
+        yield SparseMatrix(n, n, entries, field)
+
+
+def _congruence_outcome(routine, g):
+    try:
+        return sorted(routine(g).entries.items())
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_congruence_routines_digest_is_pinned():
+    # entries (or the error message) of both routines on 600 seeded forms,
+    # recorded from the dense implementation they replaced
+    outcomes = [(_congruence_outcome(diagonalize_symmetric_form, g),
+                 _congruence_outcome(symplectic_basis, g)) for g in _seeded_forms()]
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert sum(isinstance(o, str) for pair in outcomes for o in pair) == 767
+    assert digest == ("cb80319cfa44def79ea7b46dc394670c"
+                      "86dc0d9d432c1027e58e9c8e40e18732")
+
+
+def test_rational_columns_over_gf_p_are_read_as_integer_multiples():
+    # a column is scaled by the lcm of its denominators before its residues
+    # are taken: over GF(7), {0: 1/7, 1: 1} is read as {0: 1, 1: 7} = {0: 1}
+    cols = [{0: Fraction(1, 7), 1: 1}, {0: 1}]
+    assert rank_of_columns(cols[:1], Field(7)) == 1
+    assert rank_of_columns(cols, Field(7)) == 1
+    assert rank_of_columns(cols, Field(5)) == 2
+    assert rank_of_columns(cols, QQ) == 2
+    # a relation needs the column's own coefficient, and that multiple is 0
+    with pytest.raises(ZeroDivisionError, match="vanishes mod 7"):
+        kernel_of_columns(cols[::-1], Field(7))
+    assert kernel_of_columns(cols[::-1], Field(5)) == (2, [])
+
+
+@st.composite
+def congruence_forms(draw):
+    """A symmetric or an alternating form of size 1-6 over QQ or GF(p)."""
+    field = Field(draw(st.sampled_from([0, 3, 5, 32003])))
+    alternating = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    entries = {}
+    for i in range(n):
+        for j in range(i + alternating, n):
+            v = Fraction(draw(st.integers(-3, 3)), 1 if field.p else draw(st.integers(1, 3)))
+            if v:
+                entries[(i, j)] = v
+                entries[(j, i)] = -v if alternating else v
+    return SparseMatrix(n, n, entries, field), alternating
+
+
+@settings(max_examples=150, deadline=None)
+@given(congruence_forms())
+def test_congruence_gives_an_invertible_change_to_normal_form(form):
+    g, alternating = form
+    F, n = g.field, g.nrows
+    try:
+        P = symplectic_basis(g) if alternating else diagonalize_symmetric_form(g)
+    except ValueError:
+        # only an alternating form can fail: it is degenerate
+        assert alternating and dense_rank_kernel(g.columns(), n, F.p)[0] < n
+        return
+    assert dense_rank_kernel(P.columns(), n, F.p)[0] == n
+    cols = P.columns()
+    congruent = {(a, b): x for a in range(n) for b in range(n)
+                 if (x := F(sum(cols[a].get(r, 0) * v * cols[b].get(s, 0)
+                                for (r, s), v in g.entries.items())))}
+    if alternating:
+        standard = {}
+        for a in range(0, n, 2):
+            standard[(a, a + 1)], standard[(a + 1, a)] = F.one, F.neg(F.one)
+        assert congruent == standard
+    else:
+        assert all(a == b for a, b in congruent)
