@@ -151,8 +151,8 @@ def render_betti_table(entries: dict) -> str:
     return "\n".join(lines)
 
 
-def emit(document: dict, fmt: str, table_entries: dict | None = None) -> None:
-    if fmt == "table" and table_entries is not None:
+def emit(document: dict, table_entries: dict | None = None) -> None:
+    if table_entries is not None:
         print(render_betti_table(table_entries))
         print()
     print(json.dumps(document, sort_keys=True, indent=2))
@@ -183,7 +183,7 @@ def cmd_homology(args) -> int:
     doc = result_document("homology", digest,
                           {"max_hom": i_max, "max_int": j_max},
                           tables, {}, elapsed)
-    emit(doc, args.format, dims)
+    emit(doc, dims if args.format == "table" else None)
     return 0
 
 
@@ -254,7 +254,7 @@ def cmd_check(args) -> int:
     elapsed = round(time.perf_counter() - started, 3) if args.timing else None
     doc = result_document(f"check:{what}", digest, bounds, tables,
                           verdicts, elapsed)
-    emit(doc, "json")
+    emit(doc)
     return 1 if failed_identity else 0
 
 
@@ -287,48 +287,48 @@ def _certify(certifier, *args):
 def cmd_family(args) -> int:
     started = time.perf_counter()
     family = args.family
-    tables: dict = {}
-    if family == "ci":
-        names, quadrics, field = _parse_inline_quadrics(args)
-        ring, cert = _certify(build_quadratic_ci, len(names), quadrics, field, names)
-        digest = None
-    elif family == "gorenstein":
-        if not args.ring:
-            raise UsageError("--family gorenstein needs a ring file")
-        ring, digest = load_ring(args.ring, args.field)
-        cert = _certify(short_gorenstein_certify, ring)
-    elif family == "three-rel":
-        if not args.ring:
-            raise UsageError("--family three-rel needs a ring file")
-        ring, digest = load_ring(args.ring, args.field)
-        cert = _certify(three_relation_certify, ring)
-    elif family == "path":
-        if args.n is None or args.n < 3:
-            raise UsageError("--family path needs -n >= 3")
-        ring, cert = path_certify(args.n, _field_from_flag(args.field))
-        digest = None
-    elif family == "cycle":
+    if args.max_hom is not None and family != "cycle":
+        raise UsageError("--max-hom applies to --family cycle only")
+    digest = None
+    if family == "cycle":
         if args.n is None or args.n < 3:
             raise UsageError("--family cycle needs -n >= 3")
         ring = build_cycle_ring(args.n, _field_from_flag(args.field))
         H = homology(ring, ring.n, args.n)
-        v = is_strand_koszul_up_to(H, min(3, args.max_hom or 3), args.n,
-                                   trigraded=True)
-        elapsed = round(time.perf_counter() - started, 3) if args.timing else None
-        doc = result_document("family:cycle", None, {"n": args.n},
-                              {"homology_dims": {f"{i},{j}": d for (i, j), d
-                                                 in sorted(H.dims().items())}},
-                              {"strand_koszul": v.to_json()}, elapsed)
-        emit(doc, "json")
-        return 0
+        p_max = 3 if args.max_hom is None else min(3, args.max_hom)
+        v = is_strand_koszul_up_to(H, p_max, args.n, trigraded=True)
+        bounds = {"n": args.n}
+        tables = {"homology_dims": {f"{i},{j}": d for (i, j), d
+                                    in sorted(H.dims().items())}}
+        verdicts = {"strand_koszul": v.to_json()}
+        code = 0
     else:
-        raise UsageError(f"unknown family {family!r}")
+        if family == "ci":
+            names, quadrics, field = _parse_inline_quadrics(args)
+            ring, cert = _certify(build_quadratic_ci, len(names), quadrics, field, names)
+        elif family == "gorenstein":
+            if not args.ring:
+                raise UsageError("--family gorenstein needs a ring file")
+            ring, digest = load_ring(args.ring, args.field)
+            cert = _certify(short_gorenstein_certify, ring)
+        elif family == "three-rel":
+            if not args.ring:
+                raise UsageError("--family three-rel needs a ring file")
+            ring, digest = load_ring(args.ring, args.field)
+            cert = _certify(three_relation_certify, ring)
+        elif family == "path":
+            if args.n is None or args.n < 3:
+                raise UsageError("--family path needs -n >= 3")
+            ring, cert = path_certify(args.n, _field_from_flag(args.field))
+        else:
+            raise UsageError(f"unknown family {family!r}")
+        bounds = dict(cert.verdict.bound)
+        tables = {}
+        verdicts = {"family": cert.to_json()}
+        code = 0 if cert.verdict.status != "INCONSISTENT" else 1
     elapsed = round(time.perf_counter() - started, 3) if args.timing else None
-    doc = result_document(f"family:{family}", digest,
-                          {k: v for k, v in cert.verdict.bound.items()},
-                          tables, {"family": cert.to_json()}, elapsed)
-    emit(doc, "json")
-    return 0 if cert.verdict.status != "INCONSISTENT" else 1
+    emit(result_document(f"family:{family}", digest, bounds, tables, verdicts, elapsed))
+    return code
 
 
 def _nonnegative(text: str) -> int:
@@ -387,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated quadric expressions (ci family)")
     p_fam.add_argument("--variables", default=None,
                        help="comma-separated variable names (ci family)")
-    p_fam.add_argument("--max-hom", type=_nonnegative, default=None)
+    p_fam.add_argument("--max-hom", type=_nonnegative, default=None,
+                       help="bar-degree bound of the strand test, at most 3 "
+                            "(cycle family)")
     common(p_fam)
     p_fam.set_defaults(func=cmd_family)
     return parser

@@ -86,16 +86,15 @@ def differential(ring: QuotientRing, element: dict) -> dict:
 class HomologyClass:
     """A homology class with its reduced cycle representative.
 
-    ``index`` keys the class in coordinate vectors.  On the bigraded route it
-    is the class's position in ``basis(i, j)``; on the multigraded route it is
-    ``(u, k)``, the multidegree and the class's place among the classes of u.
+    ``index = (grade, k)`` keys the class in coordinate vectors: ``grade`` is
+    the slice the class lives in (see ``KoszulHomologyAlgebra``) and ``k`` its
+    place among that slice's classes.
     """
 
     i: int
     j: int
-    index: int | tuple
+    index: tuple
     representative: dict = dc_field(compare=False, hash=False)
-    multidegree: tuple | None = dc_field(default=None, compare=True)
 
 
 class _Slice:
@@ -148,15 +147,17 @@ def _squarefree(u: tuple) -> bool:
 class KoszulHomologyAlgebra:
     """Bigraded homology algebra of the Koszul complex, up to (i_max, j_max).
 
-    Dimensions come from ranks of the differential, each computed once:
-    ``dim H_{i,j} = dim K_{i,j} - rank d_{i,j} - rank d_{i+1,j}``.  Slices
-    with cycle representatives are built lazily, only for bases, cycle
-    coordinates and products, and cached.  For squarefree monomial ideals the
-    per-multidegree decomposition is used throughout, so a slice is keyed by
-    ``(i, u)`` instead of ``(i, j)`` and a class's index is ``(u, k)``; other
-    rings index classes by their position in ``basis(i, j)``.  Products of
-    classes are computed in the complex and reduced to coordinates, keyed by
-    class index, in the stored bases.
+    H_{i,j} splits into slices H_{i,g}, one per grade g of internal degree j
+    (``_grades``): the single grade j in general, and for squarefree monomial
+    ideals the squarefree multidegrees u of degree j in the lcm lattice, the
+    only ones that carry homology.  Every slice and class is keyed by its
+    grade, and a class's index is ``(g, k)``.  Dimensions come from ranks of
+    the differential, each computed once:
+    ``dim H_{i,g} = dim K_{i,g} - rank d_{i,g} - rank d_{i+1,g}``.  Slices
+    with cycle representatives are built lazily, only where the ranks show
+    homology or a cycle needs coordinates, and cached.  Products of classes
+    are computed in the complex and reduced to coordinates, keyed by class
+    index, in the stored bases.
     """
 
     def __init__(self, ring: QuotientRing, i_max: int, j_max: int):
@@ -169,16 +170,15 @@ class KoszulHomologyAlgebra:
         # squarefree monomial ideals: homology is concentrated in squarefree
         # multidegrees, so slices can be assembled per multidegree
         self.multigraded = ring.is_squarefree_monomial
-        # all keyed by (i, grade), grade an internal degree j or, on the
-        # multigraded route, a multidegree u; there _bases also holds
-        # basis(i, j) under (i, j)
+        # all keyed by (i, grade)
         self._complex_bases: dict = {}
         self._ranks: dict = {}
         self._mod_ranks: dict = {}   # bigraded over QQ: (i, j) -> rank mod P
         self._slices: dict = {}
-        self._bases: dict = {}
+        self._classes_of: dict = {}
         self._product_cache: dict = {}
-        self._multidegrees: dict = {}   # j -> _squarefree_multidegrees(j)
+        self._grades_of: dict = {}   # j -> _grades(j) on the multigraded route
+        self._algebra_data: dict = {}   # mode -> algebra_data(mode)
 
     # -- slice plumbing -----------------------------------------------------
 
@@ -286,39 +286,37 @@ class KoszulHomologyAlgebra:
                 lcm = tuple(map(max, lcm, m))
         return lcm == u
 
-    def _squarefree_multidegrees(self, j: int) -> list:
-        """The squarefree multidegrees of degree j in the lcm lattice, memoized."""
-        hit = self._multidegrees.get(j)
+    def _grades(self, j: int) -> list:
+        """The grades of internal degree j: [j] on the bigraded route, and on
+        the multigraded one the squarefree multidegrees of degree j in the lcm
+        lattice, memoized."""
+        if not self.multigraded:
+            return [j]
+        hit = self._grades_of.get(j)
         if hit is None:
             n = self.ring.n
             candidates = (tuple(1 if k in s else 0 for k in range(n))
                           for s in itertools.combinations(range(n), j))
-            hit = self._multidegrees[j] = [u for u in candidates
-                                           if self._in_lcm_lattice(u)]
+            hit = self._grades_of[j] = [u for u in candidates
+                                        if self._in_lcm_lattice(u)]
         return hit
 
-    def _classes(self, i: int, grade) -> list[HomologyClass]:
-        """The classes of one slice, built once; basis(i, j) on the bigraded route.
-
-        On the multigraded route no slice is built where the ranks say that
-        u carries no homology.
-        """
+    def _classes(self, i: int, j: int, grade) -> list[HomologyClass]:
+        """The classes of one slice of H_{i,j}, built once; no slice is built
+        where the ranks say that the grade carries no homology."""
         key = (i, grade)
-        hit = self._bases.get(key)
+        hit = self._classes_of.get(key)
         if hit is None:
-            u = grade if self.multigraded else None
             if i == 0:
                 reps = [{((0,) * self.ring.n, ()): self.field.one}]
-            elif u is not None and not self._slice_dim(i, u):
+            elif not self._slice_dim(i, grade):
                 reps = []
             else:
                 sl = self._slice(i, grade)
                 reps = [{sl.basis[pos]: c for pos, c in sorted(rep.items())}
                         for rep in sl.reps]
-            hit = self._bases[key] = [
-                HomologyClass(i, grade, k, rep) if u is None
-                else HomologyClass(i, sum(u), (u, k), rep, u)
-                for k, rep in enumerate(reps)]
+            hit = self._classes_of[key] = [HomologyClass(i, j, (grade, k), rep)
+                                           for k, rep in enumerate(reps)]
         return hit
 
     def _check_bounds(self, i: int, j: int):
@@ -332,22 +330,13 @@ class KoszulHomologyAlgebra:
         self._check_bounds(i, j)
         if not (0 < i <= min(j, self.ring.n) or i == j == 0):
             return []
-        if not self.multigraded:
-            return self._classes(i, j)
-        key = (i, j)
-        hit = self._bases.get(key)
-        if hit is None:
-            hit = self._bases[key] = [h for u in self._squarefree_multidegrees(j)
-                                      for h in self._classes(i, u)]
-        return hit
+        return [h for grade in self._grades(j) for h in self._classes(i, j, grade)]
 
     def klass(self, i: int, j: int, index) -> HomologyClass:
         """The class with this index in H_{i,j}, without listing basis(i, j)."""
-        if not self.multigraded:
-            return self.basis(i, j)[index]
         self._check_bounds(i, j)
-        u, k = index
-        return self._classes(i, u)[k]
+        grade, k = index
+        return self._classes(i, j, grade)[k]
 
     def dim(self, i: int, j: int) -> int:
         if i == 0:
@@ -355,12 +344,7 @@ class KoszulHomologyAlgebra:
         if j <= 0 or i > min(j, self.ring.n):
             return 0
         self._check_bounds(i, j)
-        classes = self._bases.get((i, j))
-        if classes is not None:
-            return len(classes)
-        if self.multigraded:
-            return sum(self._slice_dim(i, u) for u in self._squarefree_multidegrees(j))
-        return self._slice_dim(i, j)
+        return sum(self._slice_dim(i, grade) for grade in self._grades(j))
 
     def dims(self) -> dict:
         """All nonzero dimensions within bounds, keyed by bidegree."""
@@ -402,7 +386,7 @@ class KoszulHomologyAlgebra:
             sl = self._slice(i, grade)
             for r, c in sl.coords({sl.index[bw]: c for bw, c in part.items()}).items():
                 if c:
-                    coords[(grade, r) if self.multigraded else r] = c
+                    coords[(grade, r)] = c
         return coords
 
     def multiply_elements(self, e1: dict, e2: dict) -> dict:
@@ -430,7 +414,7 @@ class KoszulHomologyAlgebra:
         if hit is not None:
             return hit
         if self.multigraded:
-            u = tuple(a + b for a, b in zip(h1.multidegree, h2.multidegree))
+            u = tuple(a + b for a, b in zip(h1.index[0], h2.index[0]))
             if not _squarefree(u):
                 self._product_cache[key] = {}
                 return {}
@@ -450,8 +434,12 @@ class KoszulHomologyAlgebra:
         """Structure-constant view of H for the Tor engines.
 
         mode 'bigraded': grades (i, j); 'multigraded': grades (i, *u)
-        (monomial rings only); 'strand': single grade j - i.
+        (monomial rings only); 'strand': single grade j - i.  Built once per
+        mode.
         """
+        hit = self._algebra_data.get(mode)
+        if hit is not None:
+            return hit
         if not self.positive_strands():
             raise ValueError("homology does not live in positive strands")
         if mode == "multigraded" and not self.multigraded:
@@ -461,7 +449,7 @@ class KoszulHomologyAlgebra:
         # grade -> classes in component order; within a strand, j ascends
         # with i, so classes come ordered by (i, j, position)
         classes_of: dict = {}
-        place: dict = {}   # (i, j, index) -> position in its component
+        place: dict = {}   # (i, index) -> position in its component
         for j in range(1, self.j_max + 1):
             for i in range(1, min(j, self.i_max) + 1):
                 for h in self.basis(i, j):
@@ -470,37 +458,31 @@ class KoszulHomologyAlgebra:
                     elif mode == "strand":
                         grade = (j - i,)
                     else:
-                        grade = (i,) + h.multidegree
+                        grade = (i,) + h.index[0]
                     component = classes_of.setdefault(grade, [])
-                    place[(i, j, h.index)] = len(component)
+                    place[(i, h.index)] = len(component)
                     component.append(h)
         components = {g: len(v) for g, v in classes_of.items()}
 
         def weight(grade):
-            if mode == "bigraded":
-                return grade[1]
-            if mode == "strand":
-                return grade[0]
-            return sum(grade[1:])
+            # past its i, an (i, j) or (i, *u) grade sums to j
+            return grade[0] if mode == "strand" else sum(grade[1:])
 
-        if mode == "strand":
-            # squarefree monomial rings are complete once j_max covers n:
-            # nothing lives beyond internal degree n
-            if self.multigraded and self.j_max >= self.ring.n:
-                bound = self.j_max
-            else:
-                bound = self.j_max - self.i_max
-        else:
-            bound = self.j_max
+        bound = self.j_max
+        # squarefree monomial rings are complete once j_max covers n: nothing
+        # lives beyond internal degree n
+        if mode == "strand" and not (self.multigraded and self.j_max >= self.ring.n):
+            bound -= self.i_max
 
         def mult(g1, a, g2, b):
             h1 = classes_of[g1][a]
             h2 = classes_of[g2][b]
-            ti, tj = h1.i + h2.i, h1.j + h2.j
-            return {place[(ti, tj, idx)]: c
+            return {place[(h1.i + h2.i, idx)]: c
                     for idx, c in self.product_coords(h1, h2).items()}
 
-        return GradedAlgebraData(self.field, components, mult, weight, bound=bound)
+        hit = self._algebra_data[mode] = GradedAlgebraData(
+            self.field, components, mult, weight, bound=bound)
+        return hit
 
 
 def homology(ring: QuotientRing, i_max: int, j_max: int) -> KoszulHomologyAlgebra:

@@ -268,7 +268,7 @@ def check_prop_2_5(H: KoszulHomologyAlgebra, n: int, p_max: int, j_max: int,
                 lhs[key] = lhs.get(key, 0) + comb(n, i) * v
     lhs_series = SeriesTrunc(lhs, region, check=False)
     rhs = SeriesTrunc.binomial_power(n, region) * homology_poincare_sst(
-        H, p_max, j_max, engine=engine)
+        H, p_max, j_max, tri=tri)
     # completeness of the collapsed s-exponent only reaches p_max
     small = region_rect(p_max, j_max)
     diff = lhs_series.restrict(small).first_difference(rhs.restrict(small))

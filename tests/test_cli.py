@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import os
@@ -211,6 +212,58 @@ def test_family_cycle(capsys):
     code, doc, _ = run(capsys, ["family", "--family", "cycle", "-n", "4"])
     assert code == 0
     assert "strand_koszul" in doc["verdicts"]
+
+
+@pytest.mark.parametrize("flag, p_max", [([], 3), (["--max-hom", "0"], 0),
+                                          (["--max-hom", "2"], 2),
+                                          (["--max-hom", "5"], 3)])
+def test_family_cycle_honours_max_hom(capsys, flag, p_max):
+    code, doc, _ = run(capsys, ["family", "--family", "cycle", "-n", "5"] + flag)
+    assert code == 0
+    assert doc["verdicts"]["strand_koszul"]["bound"]["p_max"] == p_max
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "ci", "--variables", "x,y", "--quadrics", "x^2,y^2"],
+    ["--family", "gorenstein", "--ring", "@"],
+    ["--family", "three-rel", "--ring", "@"],
+    ["--family", "path", "-n", "4"],
+], ids=["ci", "gorenstein", "three-rel", "path"])
+def test_family_max_hom_is_rejected_outside_the_cycle_family(tmp_path, capsys, argv):
+    path = write_ring(tmp_path, RING_CI)
+    argv = ["family"] + [path if a == "@" else a for a in argv] + ["--max-hom", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--max-hom" in captured.err and not captured.out
+
+
+def test_check_builds_each_table_once(tmp_path, capsys, monkeypatch):
+    # prop-2-5 reads both of its sides off one trigraded table, and the
+    # strand route takes its bound and its test from one strand totalization
+    betti = importlib.import_module("koszul.betti")
+    homology_module = importlib.import_module("koszul.homology")
+    built = []
+    real_table = betti.betti_table
+    real_data = homology_module.GradedAlgebraData
+
+    def table(A, *args, **kwargs):
+        built.append("table")
+        return real_table(A, *args, **kwargs)
+
+    def data(*args, **kwargs):
+        built.append("data")
+        return real_data(*args, **kwargs)
+
+    monkeypatch.setattr(betti, "betti_table", table)
+    monkeypatch.setattr(homology_module, "GradedAlgebraData", data)
+    path = write_ring(tmp_path, RING_63NE)
+    assert main(["check", path, "--what", "prop-2-5", "--bound", "6"]) == 0
+    assert built == ["data", "table"]
+    built.clear()
+    assert main(["check", path, "--what", "strand-koszul", "--bound", "6",
+                 "--max-hom", "3", "--strand-route"]) == 0
+    assert built == ["data", "table"]
+    capsys.readouterr()
 
 
 def test_usage_errors(tmp_path, capsys):

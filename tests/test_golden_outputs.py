@@ -76,8 +76,8 @@ CASES = [
                               "--quadrics", "x*y"], None),
     ("path-6", ["family", "--family", "path", "-n", "6"], None),
     ("cycle-6", ["family", "--family", "cycle", "-n", "6"], None),
-    # squarefree monomial rings take the multigraded route, where class
-    # indices are (multidegree, k) rather than basis positions
+    # squarefree monomial rings take the multigraded route, where a class's
+    # index (grade, k) has its multidegree for grade, not its internal degree
     ("three-rel-monomial-top-right", THREE_REL,
      ring(["a", "b", "c", "d"], ["a*b", "a*c", "a*d"])),
     ("three-rel-monomial-top-left", THREE_REL,

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from koszul import QQ, Field, QuotientRing, parse_polynomial
 from koszul.families import build_cycle_ring, build_path_ring
-from koszul.homology import (HomologyClass, differential, differential_of_basis,
-                             homology, koszul_basis, koszul_basis_multigraded,
-                             multigraded_homology)
+from koszul.homology import (HomologyClass, _multidegree, differential,
+                             differential_of_basis, homology, koszul_basis,
+                             koszul_basis_multigraded, multigraded_homology)
 
 from conftest import generic_quadrics_ring, in_field, make_63ne, ring_from_strings
 from oracles import dense_homology_dim
@@ -320,7 +320,6 @@ def test_string_relation_path5():
         u = None
         if H.multigraded:
             keys = list(rep)
-            from koszul.homology import _multidegree
             u = _multidegree(keys[0])
         return (i, j, {k: v for k, v in rep.items() if v}, u)
 
@@ -475,7 +474,7 @@ def test_product_coords_independent_of_built_bases(make):
             assert list(lazy.items()) == list(primed.product_coords(h1, h2).items())
             nonzero += bool(lazy)
     assert nonzero >= 5
-    assert not fresh._bases
+    assert not fresh._classes_of
 
 
 @SQUAREFREE_RINGS
@@ -484,7 +483,7 @@ def test_coords_of_cycle_builds_only_touched_slices(make):
     n = ring.n
     source = homology(ring, n, n)
     spread = [ij for ij in source.dims()
-              if len({h.multidegree for h in source.basis(*ij)}) > 2]
+              if len({h.index[0] for h in source.basis(*ij)}) > 2]
     assert len(spread) >= 2
     for i, j in spread:
         classes = source.basis(i, j)
@@ -493,21 +492,24 @@ def test_coords_of_cycle_builds_only_touched_slices(make):
         cycle = dict(first.representative)
         cycle.update(last.representative)
         assert H.coords_of_cycle(i, j, cycle) == {first.index: 1, last.index: 1}
-        touched = {(i, first.multidegree), (i, last.multidegree)}
+        touched = {(i, first.index[0]), (i, last.index[0])}
         assert set(H._slices) == touched
         assert set(H._ranks) <= touched
         for h in classes:
             assert H.coords_of_cycle(i, j, h.representative) == {h.index: 1}
-        assert set(H._slices) == {(i, h.multidegree) for h in classes}
+        assert set(H._slices) == {(i, h.index[0]) for h in classes}
 
 
 def test_listing_bases_builds_slices_only_where_classes_live():
-    ring = build_cycle_ring(6)
-    H = homology(ring, 6, 6)
-    classes = [h for j in range(1, 7) for i in range(1, j + 1) for h in H.basis(i, j)]
-    assert len(H._slices) == len({(h.i, h.multidegree) for h in classes}) > 0
-    for h in classes:
-        assert H.klass(h.i, h.j, h.index) is h
+    # on both routes; 63ne to (4, 7) has classes in 6 of its 22 slices
+    for ring, i_max, j_max in ((build_cycle_ring(6), 6, 6), (make_63ne(), 4, 7),
+                               (make_63ne(Field(5)), 4, 7)):
+        H = homology(ring, i_max, j_max)
+        classes = [h for j in range(1, j_max + 1) for i in range(1, min(i_max, j) + 1)
+                   for h in H.basis(i, j)]
+        assert len(H._slices) == len({(h.i, h.index[0]) for h in classes}) > 0
+        for h in classes:
+            assert H.klass(h.i, h.j, h.index) is h
 
 
 def test_class_index_is_multidegree_and_place():
@@ -516,7 +518,8 @@ def test_class_index_is_multidegree_and_place():
         for i in range(1, j + 1):
             for h in H.basis(i, j):
                 u, k = h.index
-                assert u == h.multidegree and sum(u) == j
+                assert {_multidegree(bw) for bw in h.representative} == {u}
+                assert sum(u) == j
                 assert H.multigraded_dim(i, u) > k >= 0
     # the Tor engines' data keys a product by basis position, not by index
     A = H.algebra_data("bigraded")
@@ -532,7 +535,8 @@ def test_class_index_is_multidegree_and_place():
                 nonzero += bool(coords)
     assert nonzero
     bigraded = homology(make_63ne(), 4, 5)
-    assert [h.index for h in bigraded.basis(1, 2)] == list(range(bigraded.dim(1, 2)))
+    assert [h.index for h in bigraded.basis(1, 2)] == [(2, k) for k in
+                                                       range(bigraded.dim(1, 2))]
 
 
 def test_coords_of_cycle_rejects_non_cycles_on_both_routes():
