@@ -4,7 +4,8 @@ Two independent engines compute Tor dimensions:
 
 * ``BarEngine`` builds the reduced bar complex (tensor words in the
   augmentation ideal, alternating-sum merge differential) and takes exact
-  ranks of its graded slices.  This is the defining route.
+  ranks of its graded slices through ``ComplexRanks``, as the Koszul complex
+  does.  This is the defining route.
 * ``ResolutionEngine`` constructs the minimal graded free resolution of the
   residue field degree by degree: kernels of each differential, minimal
   generators as kernel modulo (ideal * kernel).  Its matrices are far smaller,
@@ -21,7 +22,7 @@ from operator import sub
 
 from .graded import GradedAlgebraData, add_grades
 from .series import SeriesTrunc, region_rect, region_total
-from .sparse import IntEchelon, rank_of_columns
+from .sparse import ComplexRanks, IntEchelon
 
 
 def _zero_grade(A: GradedAlgebraData) -> tuple:
@@ -93,7 +94,8 @@ class BarEngine:
     with x appended.  So the column of ``u + (x,)`` is the column of u in
     slice (p - 1, G - g), shifted to the block of x in ``words(p - 1, G)``,
     plus the one merge of u's last letter with x.  Each slice's columns are
-    built once, from the slices below.
+    built once, from the slices below.  Their ranks, and the Betti numbers
+    from them, come from one ``ComplexRanks``, as for the Koszul complex.
     """
 
     def __init__(self, A: GradedAlgebraData):
@@ -105,7 +107,7 @@ class BarEngine:
         # (p, G) -> {g: (start, n)}: the block of (g, a) is words[start + a*n:][:n]
         self._blocks: dict = {}
         self._cols: dict = {}
-        self._ranks: dict = {}
+        self._ranks = ComplexRanks(self.field)
 
     def words(self, p: int, grade: tuple) -> tuple:
         key = (p, grade)
@@ -133,8 +135,8 @@ class BarEngine:
     def dim(self, p: int, grade: tuple) -> int:
         return len(self.words(p, grade))
 
-    def differential_columns(self, p: int, grade: tuple):
-        """Columns of d_p on the (p, grade) slice, over the (p-1, grade) basis.
+    def differential_columns(self, p: int, grade: tuple) -> list:
+        """Columns of d_p on the (p, grade) slice, over ``words(p - 1, grade)``.
 
         No target word occurs twice in one column.  The terms from the column
         of u end in x and are distinct by induction; the last merge ends in a
@@ -144,17 +146,17 @@ class BarEngine:
         int, never a multiple of p), and nothing is summed.
         """
         if p <= 1 or not self.words(p, grade):
-            return [], self.words(p - 1, grade) if p >= 1 else ()
-        words_q = self.words(p - 1, grade)
+            return []
         if (p, grade) in self._cols:
-            return self._cols[(p, grade)], words_q
+            return self._cols[(p, grade)]
+        self.words(p - 1, grade)   # fills the blocks of the target slice
         A = self.A
         targets = self._blocks[(p - 1, grade)]
         sign = -1 if p % 2 else 1   # (-1)^(p-2), the sign of the last merge
         cols = []
         for g in self._blocks[(p, grade)]:
             rest = tuple(map(sub, grade, g))
-            below, _ = self.differential_columns(p - 1, rest)
+            below = self.differential_columns(p - 1, rest)
             inner = [(h, s_h, n_h) + targets.get(add_grades(h, g), (0, 0))
                      for h, (s_h, n_h) in self._blocks[(p - 1, rest)].items()]
             s_g, n_g = targets.get(g, (0, 0))
@@ -173,24 +175,13 @@ class BarEngine:
                                 col[offset + i] = c
                             cols.append(col)
         self._cols[(p, grade)] = cols
-        return cols, words_q
+        return cols
 
     def rank(self, p: int, grade: tuple) -> int:
-        key = (p, grade)
-        hit = self._ranks.get(key)
-        if hit is None:
-            cols, _ = self.differential_columns(p, grade)
-            hit = rank_of_columns(cols, self.field) if cols else 0
-            self._ranks[key] = hit
-        return hit
+        return self._ranks.rank(p, grade, self.differential_columns, self.dim)
 
     def betti(self, p: int, grade: tuple) -> int:
-        if p == 0:
-            return 1 if grade == self.zero else 0
-        n = self.dim(p, grade)
-        if not n:
-            return 0
-        return n - self.rank(p, grade) - self.rank(p + 1, grade)
+        return self._ranks.homology(p, grade, self.differential_columns, self.dim)
 
     def total_grades(self, p_max: int, weight_max: int) -> dict:
         """Reachable total grades per homological index within the weight bound."""
@@ -207,17 +198,6 @@ class BarEngine:
                         cur.add(g)
             levels[p] = cur
         return levels
-
-    def d_squared_is_zero(self, p: int, grade: tuple) -> bool:
-        """Exact check that d_{p-1} after d_p vanishes on the slice."""
-        cols, words_q = self.differential_columns(p, grade)
-        cols_q, _ = self.differential_columns(p - 1, grade)
-        if not cols_q:
-            return True  # the lower differential is the zero map
-        collect = self.field.collect
-        return not any(collect((pos2, c * c2) for pos, c in col.items()
-                               for pos2, c2 in cols_q[pos].items())
-                       for col in cols)
 
 
 class ResolutionEngine:

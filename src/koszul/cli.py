@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -169,11 +168,10 @@ def cmd_homology(args) -> int:
     dims = H.dims()
     tables = {"homology_dims": {f"{i},{j}": d for (i, j), d in sorted(dims.items())}}
     if args.multigraded:
-        # per squarefree multidegree u, read from the ranks H already holds
+        # per lattice multidegree u, read from the ranks H already holds
         mg = {}
         for j in range(1, min(j_max, ring.n) + 1):
-            for support in itertools.combinations(range(ring.n), j):
-                u = tuple(1 if k in support else 0 for k in range(ring.n))
+            for u in H.grades(j):
                 mdims = {str(i): d for i in range(1, min(j, H.i_max) + 1)
                          if (d := H.multigraded_dim(i, u))}
                 if mdims:

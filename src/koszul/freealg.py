@@ -43,10 +43,6 @@ class FreeAlgebra:
     def deglex_key(self, word: tuple):
         return (self.word_degree(word), len(word), word)
 
-    def deglex_compare(self, a: tuple, b: tuple) -> int:
-        ka, kb = self.deglex_key(a), self.deglex_key(b)
-        return (ka > kb) - (ka < kb)
-
     def words_of_degree(self, d: int) -> list[tuple]:
         """All words of total degree d, in deg-lex (here: plain lex) order."""
         out: list[tuple] = []

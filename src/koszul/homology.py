@@ -17,14 +17,10 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from operator import le
 
-from .fields import QQ, Field
+from .fields import Field
 from .graded import GradedAlgebraData
 from .polyring import QuotientRing, grevlex_key
-from .sparse import FieldEchelon, kernel_of_columns, rank_of_columns
-
-
-# Over QQ, ranks of the bigraded differential are first taken mod P = 2^31 - 1.
-_FP = Field(2**31 - 1)
+from .sparse import ComplexRanks, FieldEchelon, kernel_of_columns
 
 
 def koszul_basis(ring: QuotientRing, i: int, j: int) -> tuple:
@@ -148,11 +144,12 @@ class KoszulHomologyAlgebra:
     """Bigraded homology algebra of the Koszul complex, up to (i_max, j_max).
 
     H_{i,j} splits into slices H_{i,g}, one per grade g of internal degree j
-    (``_grades``): the single grade j in general, and for squarefree monomial
+    (``grades``): the single grade j in general, and for squarefree monomial
     ideals the squarefree multidegrees u of degree j in the lcm lattice, the
     only ones that carry homology.  Every slice and class is keyed by its
-    grade, and a class's index is ``(g, k)``.  Dimensions come from ranks of
-    the differential, each computed once:
+    grade, and a class's index is ``(g, k)``.  Dimensions come from the ranks
+    of the differential, which one ``ComplexRanks`` takes once each, by one
+    rule on either route:
     ``dim H_{i,g} = dim K_{i,g} - rank d_{i,g} - rank d_{i+1,g}``.  Slices
     with cycle representatives are built lazily, only where the ranks show
     homology or a cycle needs coordinates, and cached.  Products of classes
@@ -172,12 +169,11 @@ class KoszulHomologyAlgebra:
         self.multigraded = ring.is_squarefree_monomial
         # all keyed by (i, grade)
         self._complex_bases: dict = {}
-        self._ranks: dict = {}
-        self._mod_ranks: dict = {}   # bigraded over QQ: (i, j) -> rank mod P
+        self._ranks = ComplexRanks(self.field)
         self._slices: dict = {}
         self._classes_of: dict = {}
         self._product_cache: dict = {}
-        self._grades_of: dict = {}   # j -> _grades(j) on the multigraded route
+        self._grades_of: dict = {}   # j -> grades(j) on the multigraded route
         self._algebra_data: dict = {}   # mode -> algebra_data(mode)
 
     # -- slice plumbing -----------------------------------------------------
@@ -202,61 +198,6 @@ class KoszulHomologyAlgebra:
             return []
         return _differential_columns(self.ring, here, below)
 
-    def _rank(self, i: int, grade) -> int:
-        """Rank of the differential leaving K_i in one slice, exact.
-
-        Over QQ on the bigraded route it is certified from ranks mod P
-        (``_certified_rank``); elsewhere it is taken in the field.
-        """
-        key = (i, grade)
-        hit = self._ranks.get(key)
-        if hit is None:
-            if self.multigraded or self.field.p:
-                cols = self._columns(i, grade)
-                hit = rank_of_columns(cols, self.field) if cols else 0
-            else:
-                hit = self._certified_rank(i, grade)
-            self._ranks[key] = hit
-        return hit
-
-    def _rank_mod_p(self, i: int, j: int) -> int:
-        """A lower bound for rank d_{i,j} over QQ: the exact rank if known,
-        else the rank mod P, memoized.
-
-        ``rank_of_columns`` reads a column mod P as its multiple by the lcm
-        of its denominators, which keeps the rank over QQ; and the rank of an
-        integer matrix mod P never exceeds its rank over QQ, whether or not
-        P divides a denominator.
-        """
-        key = (i, j)
-        if key in self._ranks:
-            return self._ranks[key]
-        if key not in self._mod_ranks:
-            cols = self._columns(i, j)
-            self._mod_ranks[key] = rank_of_columns(cols, _FP) if cols else 0
-        return self._mod_ranks[key]
-
-    def _certified_rank(self, i: int, j: int) -> int:
-        """rank d_{i,j} over QQ, read from ranks mod P where they certify it.
-
-        With r_P <= r for every rank and r(i) + r(i+1) <= dim K_i (as d^2 = 0),
-        r_P(i) is exact if it equals min(rows, cols), or if a neighbouring
-        bound is tight: dim K_i = r_P(i) + r_P(i+1), which settles both ranks,
-        or dim K_{i-1} = r_P(i-1) + r_P(i).  Otherwise the columns are ranked
-        over QQ.
-        """
-        r = self._rank_mod_p(i, j)
-        here = len(self._complex_basis(i, j))
-        below = len(self._complex_basis(i - 1, j))
-        if r == min(here, below):
-            return r
-        for k, size in ((i - 1, below), (i + 1, here)):
-            other = self._rank_mod_p(k, j)
-            if r + other == size:
-                self._ranks[(k, j)] = other
-                return r
-        return rank_of_columns(self._columns(i, j), QQ)
-
     def _slice(self, i: int, grade) -> _Slice:
         key = (i, grade)
         hit = self._slices.get(key)
@@ -271,10 +212,8 @@ class KoszulHomologyAlgebra:
         sl = self._slices.get((i, grade))
         if sl is not None:
             return sl.dim
-        size = len(self._complex_basis(i, grade))
-        if not size:
-            return 0
-        return size - self._rank(i, grade) - self._rank(i + 1, grade)
+        return self._ranks.homology(i, grade, self._columns,
+                                    lambda k, g: len(self._complex_basis(k, g)))
 
     def _in_lcm_lattice(self, u: tuple) -> bool:
         """Whether u is the lcm of the minimal generators dividing it (u = 0
@@ -286,10 +225,10 @@ class KoszulHomologyAlgebra:
                 lcm = tuple(map(max, lcm, m))
         return lcm == u
 
-    def _grades(self, j: int) -> list:
-        """The grades of internal degree j: [j] on the bigraded route, and on
-        the multigraded one the squarefree multidegrees of degree j in the lcm
-        lattice, memoized."""
+    def grades(self, j: int) -> list:
+        """The grades whose slices make up H_{i,j}: [j] on the bigraded
+        route, and on the multigraded one the squarefree multidegrees of
+        degree j in the lcm lattice, the only ones with homology; memoized."""
         if not self.multigraded:
             return [j]
         hit = self._grades_of.get(j)
@@ -330,7 +269,7 @@ class KoszulHomologyAlgebra:
         self._check_bounds(i, j)
         if not (0 < i <= min(j, self.ring.n) or i == j == 0):
             return []
-        return [h for grade in self._grades(j) for h in self._classes(i, j, grade)]
+        return [h for grade in self.grades(j) for h in self._classes(i, j, grade)]
 
     def klass(self, i: int, j: int, index) -> HomologyClass:
         """The class with this index in H_{i,j}, without listing basis(i, j)."""
@@ -344,7 +283,7 @@ class KoszulHomologyAlgebra:
         if j <= 0 or i > min(j, self.ring.n):
             return 0
         self._check_bounds(i, j)
-        return sum(self._slice_dim(i, grade) for grade in self._grades(j))
+        return sum(self._slice_dim(i, grade) for grade in self.grades(j))
 
     def dims(self) -> dict:
         """All nonzero dimensions within bounds, keyed by bidegree."""
@@ -361,9 +300,7 @@ class KoszulHomologyAlgebra:
             raise ValueError("multigraded data needs a monomial defining ideal")
         if i == 0:
             return 1 if not any(u) else 0
-        if not (_squarefree(u) and self._in_lcm_lattice(u)):
-            return 0
-        return self._slice_dim(i, u)
+        return self._slice_dim(i, u) if u in self.grades(sum(u)) else 0
 
     # -- algebra structure ----------------------------------------------------
 

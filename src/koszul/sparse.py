@@ -10,7 +10,8 @@ gcd stripping, which keeps it in machine-int territory for the matrices that
 occur here (mostly +-1 entries), over GF(p) on residues.  ``FieldEchelon``
 keeps its residuals on ints too; only ``reduce`` and ``column`` hand out
 field elements.  Symmetric and alternating forms are brought to normal form
-by one congruence loop on sparse column vectors, ``_congruence``.
+by one congruence loop on sparse column vectors, ``_congruence``.  The ranks
+of a complex's differential are taken once, by one rule, in ``ComplexRanks``.
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             cols[c][r] = v
         return cols
-
-    def mul_vec(self, x: dict) -> dict:
-        return self.field.collect((r, v * xc) for (r, c), v in self.entries.items()
-                                  if (xc := x.get(c)))
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.nrows == other.nrows
@@ -315,6 +312,76 @@ def rank_of_columns(columns, field: Field = QQ) -> int:
     for col in columns:
         ech.insert(col)
     return ech.rank
+
+
+_FP = Field(2**31 - 1)   # the prime fractional QQ slices are first ranked modulo
+
+
+class ComplexRanks:
+    """Ranks of the differential of a graded complex, slice by slice, and its
+    homology.
+
+    The complex comes with each call: ``columns(p, g)`` are the columns of
+    d_p on slice g of C_p, and ``size(p, g)`` is dim C_{p,g}.  Each rank is
+    taken once, and ``homology(p, g) = size(p, g) - rank(p, g) -
+    rank(p + 1, g)``.  A complex keeps one ``ComplexRanks`` and passes its
+    own methods, which kept here would tie the two in a reference cycle that
+    only the cyclic garbage collector frees.
+
+    One rule over QQ: a slice whose columns hold a non-integral entry is
+    ranked mod P = 2^31 - 1 first.  ``IntEchelon`` reads a column mod P as its
+    multiple by the lcm of its denominators, which keeps its QQ rank, and the
+    rank of an integer matrix mod P never exceeds its QQ rank, so r_P <= r.
+    With r(p) + r(p+1) <= dim C_p (as d^2 = 0), r_P(p) is exact if it equals
+    min(rows, cols), or if a neighbouring bound is tight: dim C_p = r_P(p) +
+    r(p+1) or dim C_{p-1} = r(p-1) + r_P(p), with a neighbour's rank known
+    exactly or bounded below by its own r_P; a tight bound settles both.
+    Otherwise the columns are ranked over QQ.  Every other slice, over GF(p)
+    or with integral entries, is ranked directly.
+    """
+
+    __slots__ = ("field", "exact", "modular")
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.exact: dict = {}     # (p, g) -> rank
+        self.modular: dict = {}   # (p, g) -> rank mod P of a fractional QQ slice
+
+    def homology(self, p: int, g, columns, size) -> int:
+        n = size(p, g)
+        return n and n - self.rank(p, g, columns, size) - self.rank(p + 1, g, columns, size)
+
+    def rank(self, p: int, g, columns, size) -> int:
+        key = (p, g)
+        r = self._bound(p, g, columns)
+        if key in self.exact:
+            return r
+        # r is the rank mod P of a fractional slice: certify it, or rank over QQ
+        here, below = size(p, g), size(p - 1, g)
+        if r != min(here, below):
+            for k, n in ((p - 1, below), (p + 1, here)):
+                other = self._bound(k, g, columns)
+                if r + other == n:
+                    self.exact[(k, g)] = other
+                    break
+            else:
+                r = rank_of_columns(columns(p, g), QQ)
+        self.exact[key] = r
+        return r
+
+    def _bound(self, p: int, g, columns) -> int:
+        """A lower bound for rank(p, g): the rank if known, else taken
+        directly, or else, on a fractional QQ slice, its rank mod P."""
+        key = (p, g)
+        hit = self.exact.get(key, self.modular.get(key))
+        if hit is None:
+            cols = columns(p, g)
+            if not self.field.p and any(v.denominator != 1 for col in cols
+                                        for v in col.values()):
+                hit = self.modular[key] = rank_of_columns(cols, _FP)
+            else:
+                hit = self.exact[key] = rank_of_columns(cols, self.field) if cols else 0
+        return hit
 
 
 def kernel_of_columns(columns, field: Field = QQ):

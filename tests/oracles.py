@@ -137,3 +137,22 @@ def reconstruct_from_trace(system, trace):
             else:
                 del total[w]
     return total
+
+
+def mat_vec(m, x):
+    """The product of a ``SparseMatrix`` with a sparse vector ``x``."""
+    return m.field.collect((r, v * xc) for (r, c), v in m.entries.items()
+                           if (xc := x.get(c)))
+
+
+def d_squared_is_zero(engine, p, grade):
+    """Exact check that d_{p-1} after d_p vanishes on a slice of a
+    ``BarEngine``."""
+    cols = engine.differential_columns(p, grade)
+    cols_q = engine.differential_columns(p - 1, grade)
+    if not cols_q:
+        return True  # the lower differential is the zero map
+    collect = engine.field.collect
+    return not any(collect((pos2, c * c2) for pos, c in col.items()
+                           for pos2, c2 in cols_q[pos].items())
+                   for col in cols)

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszul import QQ, Field, QuotientRing, parse_polynomial
+from koszul.betti import betti_table
 from koszul.families import build_cycle_ring, build_path_ring
+from koszul.graded import ring_algebra_data
 from koszul.homology import (HomologyClass, _multidegree, differential,
                              differential_of_basis, homology, koszul_basis,
                              koszul_basis_multigraded, multigraded_homology)
@@ -172,26 +175,30 @@ def test_dim_reads_an_existing_slice_without_ranking():
     H2 = homology(ring, 4, 5)
     H2.coords_of_cycle(1, 2, cycle)   # builds the (1, 2) slice
     assert H2.dim(1, 2) == len(H.basis(1, 2))
-    assert (1, 2) not in H2._ranks and (2, 2) not in H2._ranks
+    assert (1, 2) not in H2._ranks.exact and (2, 2) not in H2._ranks.exact
 
 
-_P = 2**31 - 1   # the prime the QQ ranks are first taken modulo
+_P = 2**31 - 1   # the prime fractional QQ slices are first ranked modulo
 
 
-def _count_qq_ranks(monkeypatch):
-    """Count the ranks taken over QQ by the homology module (the modular
-    pass ranks over GF(_P))."""
-    module = importlib.import_module("koszul.homology")
-    calls = []
+def _count_ranks(monkeypatch):
+    """Count the ranks ``koszul.sparse`` takes, by kind: ``"mod P"`` over
+    GF(_P), ``"fallback"`` over QQ on columns with a non-integral entry (a
+    modular rank that did not certify itself), ``"exact"`` any other."""
+    module = importlib.import_module("koszul.sparse")
+    kinds = Counter()
     real = module.rank_of_columns
 
     def counted(columns, field=QQ):
-        if field == QQ:
-            calls.append(len(columns))
+        if field.p == _P:
+            kinds["mod P"] += 1
+        elif not field.p:
+            fractional = any(c.denominator != 1 for col in columns for c in col.values())
+            kinds["fallback" if fractional else "exact"] += 1
         return real(columns, field)
 
     monkeypatch.setattr(module, "rank_of_columns", counted)
-    return calls
+    return kinds
 
 
 def _assert_dims_match_dense_oracle(ring, j_max):
@@ -202,44 +209,82 @@ def _assert_dims_match_dense_oracle(ring, j_max):
     return H
 
 
+def _bar_table_matches_resolution(ring, bound):
+    A = ring_algebra_data(ring, bound)
+    bar = betti_table(A, bound, bound, engine="bar")
+    assert bar.entries == betti_table(A, bound, bound, engine="resolution").entries
+
+
 def test_qq_rank_falls_back_where_a_denominator_vanishes_mod_p(monkeypatch):
     # mod P a column is read as its multiple by the lcm of its denominators,
     # so a slice with P in a denominator is ranked mod P like any other
-    qq_ranks = _count_qq_ranks(monkeypatch)
+    ranks = _count_ranks(monkeypatch)
     ring = ring_from_strings(["x", "y"], [f"x^2 + 1/{_P}*y^2", "x*y"])
     H = _assert_dims_match_dense_oracle(ring, 5)
     assert H.dims() == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
-    vanishing = {key for key in H._mod_ranks
+    vanishing = {key for key in H._ranks.modular
                  if any(c.denominator % _P == 0
                         for col in H._columns(*key) for c in col.values())}
     assert vanishing == {(1, 2), (2, 3)}   # x t_x maps to x^2 = -y^2/P, read as -y^2
-    assert all(H._ranks[key] == H._mod_ranks[key] for key in vanishing)
-    assert not qq_ranks
+    assert all(H._ranks.exact[key] == H._ranks.modular[key] for key in vanishing)
+    assert not ranks["fallback"]
     # x z = -y z/P: a column holding -1/P and 1 is read as -1 and P = 0 mod P,
     # so the rank drops there and is taken over QQ
     ring = ring_from_strings(["x", "y", "z"], [f"x*z + 1/{_P}*y*z"])
     H = _assert_dims_match_dense_oracle(ring, 5)
-    assert H._mod_ranks[(2, 4)] == 11 and H._ranks[(2, 4)] == 12
-    assert qq_ranks
+    assert H._ranks.modular[(2, 4)] == 11 and H._ranks.exact[(2, 4)] == 12
+    assert ranks["fallback"]
 
 
-def test_qq_rank_falls_back_where_the_rank_drops_mod_p(monkeypatch):
-    # a complete intersection over QQ; mod P the first relation is x^2, and
-    # d at (2, 3) drops from rank 2 to 1, with homology on both sides
-    qq_ranks = _count_qq_ranks(monkeypatch)
+def test_bar_ranks_mod_p_without_fallback_where_p_is_a_denominator(monkeypatch):
+    ranks = _count_ranks(monkeypatch)
+    ring = ring_from_strings(["x", "y"], [f"x^2 + 1/{_P}*y^2", "x*y"])
+    _bar_table_matches_resolution(ring, 4)
+    assert ranks["mod P"] and not ranks["fallback"]
+
+
+def test_integral_qq_ring_takes_no_modular_rank(monkeypatch):
+    # P in a numerator keeps every column integral: ranked over QQ directly
+    ranks = _count_ranks(monkeypatch)
     ring = ring_from_strings(["x", "y"], [f"x^2 + {_P}*y^2", "x*y"])
     H = _assert_dims_match_dense_oracle(ring, 5)
     assert H.dims() == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
-    assert H._mod_ranks[(2, 3)] == 1 and H._ranks[(2, 3)] == 2
-    assert qq_ranks
+    assert H._ranks.exact[(2, 3)] == 2 and not H._ranks.modular
+    _bar_table_matches_resolution(ring, 4)
+    assert not ranks["mod P"] and not ranks["fallback"]
+
+
+def test_qq_rank_falls_back_where_the_rank_drops_mod_p(monkeypatch):
+    # a complete intersection over QQ; mod P the first relation, scaled to
+    # 2 x^2 + P y^2, is 2 x^2, and d at (2, 3) drops from rank 2 to 1, with
+    # homology on both sides
+    ranks = _count_ranks(monkeypatch)
+    ring = ring_from_strings(["x", "y"], [f"x^2 + {_P}/2*y^2", "x*y"])
+    H = _assert_dims_match_dense_oracle(ring, 5)
+    assert H.dims() == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+    assert H._ranks.modular[(2, 3)] == 1 and H._ranks.exact[(2, 3)] == 2
+    assert ranks["fallback"] == 1
+    # the bar complex of R is ranked by the same rule
+    ranks.clear()
+    _bar_table_matches_resolution(ring, 4)
+    assert ranks["mod P"] and ranks["fallback"] == 2
+
+
+def test_63ne_over_qq_is_ranked_exactly(monkeypatch):
+    # its normal forms are integral: no slice of either complex is fractional
+    ranks = _count_ranks(monkeypatch)
+    ring = make_63ne()
+    homology(ring, ring.n, 7).dims()
+    _bar_table_matches_resolution(ring, 4)
+    assert ranks["exact"] and not ranks["mod P"] and not ranks["fallback"]
 
 
 def test_seeded_qq_quadrics_rank_almost_only_mod_p(monkeypatch):
     # the benchmark's QQ ring and bound: the modular ranks certify themselves
-    qq_ranks = _count_qq_ranks(monkeypatch)
+    ranks = _count_ranks(monkeypatch)
     ring = generic_quadrics_ring(QQ)
     assert homology(ring, ring.n, 4).dims() == {(0, 0): 1, (1, 2): 5, (2, 4): 10}
-    assert len(qq_ranks) <= 1
+    assert ranks["mod P"] and ranks["fallback"] <= 1
 
 
 @st.composite
@@ -262,6 +307,14 @@ def fractional_quadric_rings(draw):
 @given(fractional_quadric_rings())
 def test_qq_dims_match_dense_oracle_on_fractional_rings(ring):
     _assert_dims_match_dense_oracle(ring, 4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(fractional_quadric_rings())
+def test_bar_betti_matches_resolution_on_fractional_rings(ring):
+    # the bar ranks go through the modular rule, the resolution takes exact
+    # QQ kernels with no modular step
+    _bar_table_matches_resolution(ring, 4)
 
 
 def test_positive_strands():
@@ -494,7 +547,7 @@ def test_coords_of_cycle_builds_only_touched_slices(make):
         assert H.coords_of_cycle(i, j, cycle) == {first.index: 1, last.index: 1}
         touched = {(i, first.index[0]), (i, last.index[0])}
         assert set(H._slices) == touched
-        assert set(H._ranks) <= touched
+        assert set(H._ranks.exact) <= touched
         for h in classes:
             assert H.coords_of_cycle(i, j, h.representative) == {h.index: 1}
         assert set(H._slices) == {(i, h.index[0]) for h in classes}
