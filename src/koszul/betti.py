@@ -17,8 +17,11 @@ sit the bounded Koszulness verdicts and the Poincare-series plumbing.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from operator import sub
+from math import prod
+from operator import mul, sub
 
 from .graded import GradedAlgebraData, add_grades
 from .series import SeriesTrunc, region_rect, region_total
@@ -203,12 +206,13 @@ class BarEngine:
 class ResolutionEngine:
     """Minimal graded free resolution of k over A, one homological step at a time.
 
-    An element of F_p in grade G is a dict over basis keys ``(k, comp, a)``:
-    generator k of F_p times basis element a of A_comp, where comp is G minus
-    the grade of k (``(k, zero, 0)`` is the generator itself).  When a
-    generator is made, its key and its products with the components within
-    reach are pushed to their grades, so the basis of F_p by grade is built
-    as the generators appear, in generator order and then a.
+    Inside the engine a grade is an int, under an additive radix code that
+    keeps the order of the tuples.  The basis of F_p in grade G comes in
+    blocks, one per generator k below G: k times the basis of A_g, g = G
+    minus the grade of k (g = 0: k itself).  A grade is ``[weight, size,
+    offsets]``, and x in A_g times k sits at ``offsets[k] + x``.  A new
+    generator's blocks go to the end of their grades, up to the weight its
+    step reaches.
 
     Step p visits the grades where F_{p-1} is nonzero, by increasing weight.
     At a grade G, the images of the basis elements of F_p that are not
@@ -216,13 +220,12 @@ class ResolutionEngine:
     m * Z_{p-1}(G), with Z_{p-1} the kernel of the differential of F_{p-1}.
     The cycles of Z_{p-1}(G) independent of that span are the new generators
     at G, and the dependencies among the images are Z_p(G), which the next
-    step reads.  So each grade costs one elimination per step.
-
-    Arithmetic runs on plain ints, through one ``IntEchelon`` per grade and
-    step, for QQ and GF(p) alike; an image column that keeps a non-integral
-    structure constant is scaled to integers as it enters the echelon.
-    Cycles are its relations: primitive integer vectors over QQ, residues
-    normalized to 1 at their own column over GF(p).
+    step reads: as vectors, or as a number where it only counts them.  With
+    no image at G, every cycle is a generator, uninserted.  ``_act`` builds
+    the images block by block from a table of the nonzero products of A, on
+    plain ints for QQ and GF(p) alike, and one ``IntEchelon`` per grade and
+    step takes them.  Cycles are its relations: primitive integer vectors
+    over QQ, residues normalized to 1 at their own column over GF(p).
     """
 
     def __init__(self, A: GradedAlgebraData):
@@ -230,31 +233,56 @@ class ResolutionEngine:
         self.field = A.field
         self.zero = _zero_grade(A)
         self.gens: list = [[self.zero]]   # gens[p]: grades of the generators of F_p
-        self._components = sorted(((A.weight(g), g) for g in A.components))
+        comps = A.components
+        # a grade of weight <= A.bound sums at most `most` components, so each
+        # coordinate (nonnegative, as in the bar engine) stays below its radix
+        weights = sorted((A.weight(g), g) for g in comps)
+        most = max(1, A.bound // weights[0][0]) if comps else 0
+        self._radices = [most * max([0] + [g[i] for g in comps]) + 1
+                         for i in range(len(self.zero))]
+        self._scales = [prod(self._radices[i + 1:]) for i in range(len(self._radices))]
+        codes = {g: sum(map(mul, g, self._scales)) for g in comps}
+        # (weight, coded grade, dim) of the zero grade and then the components
+        self._blocks = [(0, 0, 1)] + [(w, codes[g], comps[g]) for w, g in weights]
+        self._grade = {0: (self.zero, 1)} | {codes[g]: (g, comps[g]) for g in comps}
+        self._table: dict = {}   # (g, g2, b) -> [(a, ((x, c), ...))]: the nonzero a * b
 
-    def _act(self, g: tuple, a: int, vec: dict) -> dict:
-        """Basis element a of A_g times a module element."""
-        out: dict = {}
-        for (k2, g2, b), c in vec.items():
-            if g2 == self.zero:
-                key = (k2, g, a)
-                out[key] = out.get(key, 0) + c
-                continue
-            g12 = add_grades(g, g2)
-            for x, cx in self.A.mult(g, a, g2, b).items():
-                key = (k2, g12, x)
-                out[key] = out.get(key, 0) + c * cx
-        return {key: v for key, v in out.items() if v}
+    def _decode(self, code: int) -> tuple:
+        return tuple(code // s % r for s, r in zip(self._scales, self._radices))
 
-    def _push(self, basis: dict, k: int, G: tuple, w: int, reach: int):
-        """Add generator k, at grade G of weight w, and its products with the
-        components up to weight ``reach`` to ``basis``: grade -> (weight, keys)."""
-        basis.setdefault(G, (w, []))[1].append((k, self.zero, 0))
-        for wg, g in self._components:
+    def _act(self, g: int, vec: list, offsets: dict) -> list:
+        """Component g's block on a generator with map ``vec``: its dim A_g
+        images, as columns over the grade whose blocks start at ``offsets``."""
+        table, (t, n) = self._table, self._grade[g]
+        cols = [{} for _ in range(n)]
+        for k, g2, b, c in vec:
+            row = table.get((g, g2, b))
+            if row is None:   # each a with a nonzero a * b, and its terms
+                row = table[(g, g2, b)] = (
+                    [(a, tuple(m.items())) for a in range(n)
+                     if (m := self.A.mult(t, a, self._grade[g2][0], b))] if g2
+                    else [(a, ((a, 1),)) for a in range(n)])   # b is k itself
+            if row:   # the block of k exists at a grade where a * b can be nonzero
+                o = offsets[k]
+            for a, terms in row:
+                col = cols[a]
+                for x, cx in terms:
+                    x += o
+                    col[x] = col.get(x, 0) + c * cx
+        return cols
+
+    def _push(self, basis: dict, k: int, G: int, w: int, reach: int):
+        """Add the blocks of generator k, at grade G of weight w, up to weight
+        ``reach`` to ``basis``: grade -> [weight, size, offsets]."""
+        for wg, g, n in self._blocks:
             if w + wg > reach:
                 break
-            basis.setdefault(add_grades(G, g), (w + wg, []))[1].extend(
-                (k, g, a) for a in range(self.A.components[g]))
+            slot = basis.get(G + g)
+            if slot is None:
+                basis[G + g] = [w + wg, n, {k: 0}]
+            else:
+                slot[2][k] = slot[1]
+                slot[1] += n
 
     def extend(self, p_max: int, weight_max: int, total_bound: int | None = None):
         """Resolve to homological degree p_max and weight weight_max; with a
@@ -273,74 +301,79 @@ class ResolutionEngine:
             return weight_max if total_bound is None else min(weight_max,
                                                               total_bound - p)
 
-        zero = self.zero
-        least = self._components[0][0] if self._components else 0
-        self.gens = [[zero]]
-        bases: dict = {}      # grade -> (weight, basis keys of F_{p-1})
-        self._push(bases, 0, zero, 0, reach(0))
-        cycles: dict = {}     # grade -> Z_{p-1} over that basis; absent: all of F_{p-1}
+        def counts_only(p, w):
+            # step p neither keeps Z_p(G) nor reaches a product of a generator at G
+            return w > reach(p + 1) and w + least > reach(p)
+
+        least = self._blocks[1][0] if len(self._blocks) > 1 else 0
+        self.gens = [[self.zero]]
+        bases: dict = {}      # coded grade -> [weight, size, offsets] of F_{p-1}
+        self._push(bases, 0, 0, 0, reach(0))
+        codes = [0]           # codes[k]: grade of generator k of F_{p-1}
+        # grade -> Z_{p-1}: relations over F_{p-1}(G), or their number where
+        # step p only counts; absent: all of F_{p-1}(G)
+        cycles: dict = {}
         for p in range(1, p_max + 1):
-            gens: list = []
-            maps: list = []   # maps[k]: image of generator k of F_p in F_{p-1}
+            gens: list = []   # grades of the generators of F_p
+            maps: dict = {}   # k -> d(k) as terms (k2, g, b, c): c * b in A_g * k2
             new_bases: dict = {}
             new_cycles: dict = {}
-            for w, G in sorted((w, G) for G, (w, _) in bases.items()
+            for w, G in sorted((w, G) for G, (w, _, _) in bases.items()
                                if 0 < w <= reach(p)):
                 cyc = cycles.get(G)
-                if cyc == []:
+                if cyc is not None and not cyc:
                     # Z_{p-1}(G) = 0: no generator here, and d_p vanishes on
                     # F_p(G), which the next step reads as all cycles
                     continue
-                basis_prev = bases[G][1]
-                if cyc is None:
-                    cyc = [{i: 1} for i in range(len(basis_prev))]
+                _, size, offsets = bases[G]
                 keep = w <= reach(p + 1)
-                moved = new_bases.get(G, (w, ()))[1]
-                # images of the moved basis, tracked for Z_p(G) when kept
-                ech = IntEchelon(self.field.p, track=keep)
-                at = {key: i for i, key in enumerate(basis_prev)}
-                relations = []
-                for i, (k, g, a) in enumerate(moved):
-                    image = self._act(g, a, maps[k])
-                    if not image:   # the relation that insert({}, tag=i) returns
-                        if keep:
-                            relations.append({i: 1})
-                        continue
-                    relation = ech.insert({at[key]: c for key, c in image.items()},
-                                          tag=i)
-                    if keep and relation is not None:
-                        relations.append(relation)
+                track = keep and not counts_only(p + 1, w)
+                # images of the moved basis, tracked for Z_p(G) when read
+                ech = IntEchelon(self.field.p, track=track)
+                relations, i = [], 0
+                for k in new_bases.get(G, (0, 0, ()))[2]:
+                    for image in self._act(G - gens[k], maps[k], offsets):
+                        relation = ech.insert(image, tag=i) if image else {i: 1}  # zero image
+                        if track and relation is not None:
+                            relations.append(relation)
+                        i += 1
+                if keep:
+                    new_cycles[G] = relations if track else i - ech.rank
                 # the span is inside Z_{p-1}(G): the rank gap counts new generators
-                missing = len(cyc) - ech.rank
-                if not keep and w + least > reach(p):
-                    # step p + 1 skips G and no product of a generator here is
-                    # within reach(p): nothing reads their maps or basis keys
+                missing = (size if cyc is None else cyc if type(cyc) is int
+                           else len(cyc)) - ech.rank
+                if counts_only(p, w) or not missing:
                     gens += [G] * missing
-                    maps += [None] * missing
                     continue
+                if cyc is None:
+                    cyc = ({i: 1} for i in range(size))
+                # with no image in the echelon, the cycles are independent:
+                # relations of a tracked echelon, or unit vectors
+                fresh = not ech.rank
                 ech.track = False   # cycles are only tested for independence
+                read = w + least <= reach(p)   # a product of a generator here is in reach
+                starts, owners = list(offsets.values()), list(offsets)
                 for z in cyc:
                     if not missing:
                         break
-                    if ech.insert(z) is None:
+                    if fresh or ech.insert(z) is None:
                         self._push(new_bases, len(gens), G, w, reach(p))
+                        vec = maps[len(gens)] = []
                         gens.append(G)
-                        maps.append({basis_prev[i]: c for i, c in z.items()})
+                        for pos, c in z.items() if read else ():
+                            j = bisect_right(starts, pos) - 1
+                            vec.append((owners[j], G - codes[owners[j]],
+                                        pos - starts[j], c))
                         missing -= 1
-                if keep:
-                    new_cycles[G] = relations
-            self.gens.append(gens)
-            bases, cycles = new_bases, new_cycles
+            decoded = {G: self._decode(G) for G in set(gens)}
+            self.gens.append([decoded[G] for G in gens])
+            bases, cycles, codes = new_bases, new_cycles, gens
 
     def betti_entries(self, p_max: int, weight_max: int,
                       total_bound: int | None = None) -> dict:
         self.extend(p_max, weight_max, total_bound)
-        out = {(0, self.zero): 1}
-        for p in range(1, p_max + 1):
-            for G in self.gens[p]:
-                key = (p, G)
-                out[key] = out.get(key, 0) + 1
-        return out
+        return {(0, self.zero): 1, **Counter((p, G) for p in range(1, p_max + 1)
+                                             for G in self.gens[p])}
 
 
 def _bar_cost_estimate(A: GradedAlgebraData, p_max: int, weight_max: int) -> int:

@@ -306,10 +306,13 @@ class FieldEchelon(IntEchelon):
         return vec, combo[_COL]
 
 
-def rank_of_columns(columns, field: Field = QQ) -> int:
-    """Rank of the matrix whose columns are the given sparse vectors."""
+def rank_of_columns(columns, field: Field = QQ, bound: int | None = None) -> int:
+    """Rank of the matrix whose columns are the given sparse vectors; with
+    a ``bound`` at least that rank, the elimination stops once it reaches it."""
     ech = IntEchelon(field.p)
     for col in columns:
+        if ech.rank == bound:
+            break
         ech.insert(col)
     return ech.rank
 
@@ -332,12 +335,13 @@ class ComplexRanks:
     ranked mod P = 2^31 - 1 first.  ``IntEchelon`` reads a column mod P as its
     multiple by the lcm of its denominators, which keeps its QQ rank, and the
     rank of an integer matrix mod P never exceeds its QQ rank, so r_P <= r.
-    With r(p) + r(p+1) <= dim C_p (as d^2 = 0), r_P(p) is exact if it equals
-    min(rows, cols), or if a neighbouring bound is tight: dim C_p = r_P(p) +
-    r(p+1) or dim C_{p-1} = r(p-1) + r_P(p), with a neighbour's rank known
-    exactly or bounded below by its own r_P; a tight bound settles both.
-    Otherwise the columns are ranked over QQ.  Every other slice, over GF(p)
-    or with integral entries, is ranked directly.
+    Every elimination stops at its d^2 = 0 bound, min(dim C_{p-1} - r(p-1),
+    dim C_p - r(p+1)) with the neighbours' exact ranks or 0; no slice is
+    built where it is 0.  An r_P(p) that reaches it is exact, and so is one
+    that makes a neighbour's bound tight, dim C_p = r_P(p) + r(p+1) or dim
+    C_{p-1} = r(p-1) + r_P(p), with that rank exact or its own r_P; a tight
+    bound settles both.  Otherwise the columns are ranked over QQ.  Every
+    other slice, over GF(p) or with integral entries, is ranked directly.
     """
 
     __slots__ = ("field", "exact", "modular")
@@ -353,34 +357,37 @@ class ComplexRanks:
 
     def rank(self, p: int, g, columns, size) -> int:
         key = (p, g)
-        r = self._bound(p, g, columns)
+        r = self._bound(p, g, columns, size)
         if key in self.exact:
             return r
         # r is the rank mod P of a fractional slice: certify it, or rank over QQ
-        here, below = size(p, g), size(p - 1, g)
-        if r != min(here, below):
-            for k, n in ((p - 1, below), (p + 1, here)):
-                other = self._bound(k, g, columns)
-                if r + other == n:
-                    self.exact[(k, g)] = other
-                    break
-            else:
-                r = rank_of_columns(columns(p, g), QQ)
+        for k, n in ((p - 1, size(p - 1, g)), (p + 1, size(p, g))):
+            other = self._bound(k, g, columns, size)
+            if r + other == n:
+                self.exact[(k, g)] = other
+                break
+        else:
+            r = rank_of_columns(columns(p, g), QQ)
         self.exact[key] = r
         return r
 
-    def _bound(self, p: int, g, columns) -> int:
+    def _bound(self, p: int, g, columns, size) -> int:
         """A lower bound for rank(p, g): the rank if known, else taken
         directly, or else, on a fractional QQ slice, its rank mod P."""
         key = (p, g)
         hit = self.exact.get(key, self.modular.get(key))
         if hit is None:
-            cols = columns(p, g)
+            exact = self.exact
+            top = min(size(p - 1, g) - exact.get((p - 1, g), 0),
+                      size(p, g) - exact.get((p + 1, g), 0))
+            cols = columns(p, g) if top else []
             if not self.field.p and any(v.denominator != 1 for col in cols
                                         for v in col.values()):
-                hit = self.modular[key] = rank_of_columns(cols, _FP)
+                hit = self.modular[key] = rank_of_columns(cols, _FP, top)
+                if hit == top:
+                    exact[key] = hit
             else:
-                hit = self.exact[key] = rank_of_columns(cols, self.field) if cols else 0
+                hit = exact[key] = rank_of_columns(cols, self.field, top) if cols else 0
         return hit
 
 

@@ -1,6 +1,9 @@
+import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszul import QQ, Field, QuotientRing
 from koszul.betti import (BarEngine, betti_table, is_koszul_up_to,
@@ -200,6 +203,60 @@ def test_resolution_total_bound_prunes_exactly(ring_63ne):
         pruned = betti_table(A, 8, 8, engine="resolution", total_bound=T)
         assert pruned.entries == {(p, g): v for (p, g), v in full.entries.items()
                                   if p + g[0] <= T}
+
+
+@st.composite
+def gf7_rings(draw):
+    """1 to 3 quadrics and cubics in 3 variables over GF(7), with sparse
+    coefficients; a cubic relation puts a generator off the diagonal."""
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.sampled_from([2, 3]))
+        monomials = [m for m in itertools.product(range(degree + 1), repeat=3)
+                     if sum(m) == degree]
+        coeffs = draw(st.lists(st.sampled_from([0, 0, 1, 3, 6]),
+                               min_size=len(monomials), max_size=len(monomials)))
+        relation = {m: c for m, c in zip(monomials, coeffs) if c}
+        if relation:
+            relations.append(relation)
+    return QuotientRing(3, relations, Field(7))
+
+
+def _tables_agree(A, p_max, weight_max, total_bound):
+    bar = betti_table(A, p_max, weight_max, engine="bar", total_bound=total_bound)
+    res = betti_table(A, p_max, weight_max, engine="resolution",
+                      total_bound=total_bound)
+    assert res.entries == bar.entries
+
+
+_BOUNDS = (st.integers(1, 4), st.integers(1, 5), st.sampled_from([None, 3, 4, 5, 6]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gf7_rings(), *_BOUNDS)
+def test_resolution_matches_bar_on_random_gf7_rings(ring, p_max, weight_max, total_bound):
+    _tables_agree(ring_algebra_data(ring, weight_max), p_max, weight_max, total_bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([build_path_ring, build_cycle_ring]), st.integers(3, 5),
+       *_BOUNDS)
+def test_resolution_matches_bar_on_multigraded_homology(build, n, p_max, weight_max,
+                                                         total_bound):
+    # the multigraded H of the path and cycle rings: grades (i, *u)
+    H = homology(build(n), n, weight_max)
+    _tables_agree(H.algebra_data("multigraded"), p_max, weight_max, total_bound)
+
+
+def test_63ne_resolution_table_does_not_depend_on_the_variable_order():
+    # the order of the variables changes the bases, the structure constants
+    # and every echelon of the resolution, but not its table
+    names = ["x", "y", "z", "u"]
+    rels = ["x^2", "x*y", "x*z + u^2", "x*u", "y^2 + z^2", "z*u"]
+    tables = {tuple(sorted(betti_table(ring_algebra_data(ring_from_strings(
+        list(order), rels), 6), 6, 6, engine="resolution").entries.items()))
+        for order in itertools.permutations(names)}
+    assert len(tables) == 1
 
 
 def test_engines_agree_multigraded_cycle():

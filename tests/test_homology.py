@@ -147,15 +147,17 @@ RANK_ROUTE_RINGS = {
 }
 
 
-@pytest.mark.parametrize("order", ["dims-first", "basis-first"])
+@pytest.mark.parametrize("order", ["dims-first", "dims-descending", "basis-first"])
 @pytest.mark.parametrize("name", sorted(RANK_ROUTE_RINGS))
 def test_rank_route_dims_match_bases_and_dense_oracle(name, order):
     make, j_max = RANK_ROUTE_RINGS[name]
     ring = make()
     H = homology(ring, ring.n, j_max)
     pairs = [(i, j) for j in range(1, j_max + 1) for i in range(1, min(j, ring.n) + 1)]
-    if order == "dims-first":
-        dims = {ij: H.dim(*ij) for ij in pairs}
+    if order.startswith("dims"):
+        # descending, each rank of d_i is bounded by the exact rank of d_{i+1}
+        dims = {ij: H.dim(*ij) for ij in (pairs if order == "dims-first"
+                                          else reversed(pairs))}
         assert not H._slices  # dimensions came from ranks alone
         sizes = {ij: len(H.basis(*ij)) for ij in pairs}
     else:
@@ -189,13 +191,13 @@ def _count_ranks(monkeypatch):
     kinds = Counter()
     real = module.rank_of_columns
 
-    def counted(columns, field=QQ):
+    def counted(columns, field=QQ, bound=None):
         if field.p == _P:
             kinds["mod P"] += 1
         elif not field.p:
             fractional = any(c.denominator != 1 for col in columns for c in col.values())
             kinds["fallback" if fractional else "exact"] += 1
-        return real(columns, field)
+        return real(columns, field, bound)
 
     monkeypatch.setattr(module, "rank_of_columns", counted)
     return kinds

@@ -189,6 +189,20 @@ def test_rank_nullity_matches_dense_oracle(data):
         assert all(v == 0 for v in combined.values())
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_columns(), st.sampled_from([0, 2, 5]), st.integers(0, 3))
+def test_rank_stops_at_any_bound_at_or_above_the_rank(data, p, slack):
+    # the elimination stops once its rank reaches the bound, so a bound that
+    # is at least the rank changes nothing
+    nrows, cols = data
+    field = Field(p) if p else QQ
+    if p:
+        cols = _prime_columns(cols, p)
+    rank = dense_rank_kernel(cols, nrows, p)[0]
+    assert rank_of_columns(cols, field, rank + slack) == rank
+    assert rank_of_columns(cols, field) == rank
+
+
 def _prime_columns(cols, p):
     """The columns read over GF(p); entries whose denominator vanishes are dropped."""
     field = Field(p)
