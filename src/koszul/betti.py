@@ -82,13 +82,6 @@ class BettiTable:
         return SeriesTrunc(coeffs, region, check=False)
 
 
-def _in_region(p: int, weight: int, p_max: int, weight_max: int,
-               total_bound: int | None) -> bool:
-    if p > p_max or weight > weight_max:
-        return False
-    return total_bound is None or p + weight <= total_bound
-
-
 class BarEngine:
     """Reduced bar complex of a connected graded algebra, slice by slice.
 
@@ -415,9 +408,6 @@ def betti_table(A: GradedAlgebraData, p_max: int, weight_max: int,
     if engine == "resolution":
         eng = ResolutionEngine(A)
         entries = eng.betti_entries(p_max, weight_max, total_bound)
-        entries = {(p, g): v for (p, g), v in entries.items()
-                   if _in_region(p, A.weight(g) if g != eng.zero else 0,
-                                 p_max, weight_max, total_bound)}
         return BettiTable(entries, p_max, weight_max, "resolution", total_bound)
     if engine != "bar":
         raise ValueError(f"unknown engine {engine!r}")
@@ -426,7 +416,8 @@ def betti_table(A: GradedAlgebraData, p_max: int, weight_max: int,
     levels = eng.total_grades(p_max, weight_max)
     for p in range(1, p_max + 1):
         for grade in sorted(levels[p]):
-            if not _in_region(p, A.weight(grade), p_max, weight_max, total_bound):
+            # total_grades keeps p <= p_max and weights <= weight_max
+            if total_bound is not None and p + A.weight(grade) > total_bound:
                 continue
             v = eng.betti(p, grade)
             if v:

@@ -14,8 +14,8 @@ table (rows: internal degree minus homological degree; columns: homological
 degree).
 
 Exit codes: 0 = computed and decided, 1 = an identity that must hold failed
-(internal inconsistency), 2 = usage or parse error, 141 = stdout was closed
-before the output was written.
+(internal inconsistency), 2 = bad input (any ``InputError``), 141 = stdout was
+closed before the output was written.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ import sys
 import time
 
 from .betti import is_koszul_up_to, is_strand_koszul_up_to
-from .families import (InputError, build_cycle_ring, build_quadratic_ci,
-                       path_certify, short_gorenstein_certify,
-                       three_relation_certify)
-from .fields import field_from_spec
+from .families import (build_cycle_ring, build_quadratic_ci, path_certify,
+                       short_gorenstein_certify, three_relation_certify)
+from .fields import InputError, field_from_spec
 from .graded import ring_algebra_data
 from .homology import homology
 from .identities import (check_golod, check_hilbert_identity,
@@ -42,32 +41,29 @@ from .polyring import ParseError, QuotientRing, parse_polynomial
 RESULT_VERSION = "1"
 
 
-class UsageError(Exception):
-    pass
-
-
 def _field_spec_from_flag(text: str):
     if text == "QQ":
         return "QQ"
     if text.startswith("F") and text[1:].isdigit():
         return {"Fp": int(text[1:])}
-    raise UsageError(f'--field must be "QQ" or "F<p>", got {text!r}')
+    raise InputError(f'--field must be "QQ" or "F<p>", got {text!r}')
 
 
 def _field_from_flag(text: str | None):
     """The field that --field names, QQ when the flag is not given."""
+    spec = _field_spec_from_flag(text or "QQ")
     try:
-        return field_from_spec(_field_spec_from_flag(text or "QQ"))
-    except ValueError as exc:
-        raise UsageError(f"--field: {exc}")
+        return field_from_spec(spec)
+    except InputError as exc:
+        raise InputError(f"--field: {exc}")
 
 
 def _check_names(names: list, label: str) -> None:
     for k, name in enumerate(names):
         if not name:
-            raise UsageError(f"{label} has an empty name at position {k}")
+            raise InputError(f"{label} has an empty name at position {k}")
         if name in names[:k]:
-            raise UsageError(f"{label} names {name!r} twice")
+            raise InputError(f"{label} names {name!r} twice")
 
 
 def load_ring(path: str, field_override: str | None = None) -> tuple[QuotientRing, str]:
@@ -76,39 +72,33 @@ def load_ring(path: str, field_override: str | None = None) -> tuple[QuotientRin
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read ring file: {exc}")
+        raise InputError(f"cannot read ring file: {exc}")
     except json.JSONDecodeError as exc:
-        raise UsageError(f"ring file is not valid JSON: {exc}")
+        raise InputError(f"ring file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise UsageError("ring document must be a JSON object")
+        raise InputError("ring document must be a JSON object")
     for key in ("field", "variables", "relations"):
         if key not in doc:
-            raise UsageError(f"ring document is missing {key!r}")
+            raise InputError(f"ring document is missing {key!r}")
     if field_override:
         doc["field"] = _field_spec_from_flag(field_override)
-    try:
-        field = field_from_spec(doc["field"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    field = field_from_spec(doc["field"])
     names = doc["variables"]
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-        raise UsageError(f"'variables' must be a list of names, got {names!r}")
+        raise InputError(f"'variables' must be a list of names, got {names!r}")
     _check_names(names, "'variables'")
     if not isinstance(doc["relations"], list):
-        raise UsageError(f"'relations' must be a list of strings, "
+        raise InputError(f"'relations' must be a list of strings, "
                          f"got {doc['relations']!r}")
     relations = []
     for k, text in enumerate(doc["relations"]):
         if not isinstance(text, str):
-            raise UsageError(f"relation {k} must be a string, got {text!r}")
+            raise InputError(f"relation {k} must be a string, got {text!r}")
         try:
             relations.append(parse_polynomial(text, names, field))
         except ParseError as exc:
-            raise UsageError(f"in relation {text!r}: {exc}")
-    try:
-        ring = QuotientRing(len(names), relations, field, names)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+            raise InputError(f"in relation {text!r}: {exc}")
+    ring = QuotientRing(len(names), relations, field, names)
     normalized = json.dumps(
         {"field": doc["field"], "variables": names,
          "relations": doc["relations"]}, sort_keys=True)
@@ -160,7 +150,7 @@ def emit(document: dict, table_entries: dict | None = None) -> None:
 def cmd_homology(args) -> int:
     ring, digest = load_ring(args.ring, args.field)
     if args.multigraded and not ring.is_squarefree_monomial:
-        raise UsageError("--multigraded needs a squarefree monomial defining ideal")
+        raise InputError("--multigraded needs a squarefree monomial defining ideal")
     i_max = args.max_hom if args.max_hom is not None else ring.n
     j_max = args.max_int if args.max_int is not None else ring.n + 2
     started = time.perf_counter()
@@ -213,7 +203,7 @@ def cmd_check(args) -> int:
             if strand_max < 1:
                 # monomial rings are trusted to j_max once j_max reaches n
                 needed = ring.n if H.multigraded else ring.n + 1
-                raise UsageError(f"--strand-route needs --max-int >= {needed} "
+                raise InputError(f"--strand-route needs --max-int >= {needed} "
                                  f"on this ring, got {j_max}")
             v = is_strand_koszul_up_to(H, p_max, strand_max, engine=args.engine)
         else:
@@ -248,7 +238,7 @@ def cmd_check(args) -> int:
         verdicts["prop_2_5"] = report.to_json()
         failed_identity = not report.passed
     else:
-        raise UsageError(f"unknown check {what!r}")
+        raise InputError(f"unknown check {what!r}")
     elapsed = round(time.perf_counter() - started, 3) if args.timing else None
     doc = result_document(f"check:{what}", digest, bounds, tables,
                           verdicts, elapsed)
@@ -259,9 +249,9 @@ def cmd_check(args) -> int:
 def _parse_inline_quadrics(args):
     names = [s.strip() for s in args.variables.split(",")] if args.variables else None
     if not args.quadrics:
-        raise UsageError("--family ci needs --quadrics")
+        raise InputError("--family ci needs --quadrics")
     if names is None:
-        raise UsageError("--family ci needs --variables")
+        raise InputError("--family ci needs --variables")
     _check_names(names, "--variables")
     field = _field_from_flag(args.field)
     quadrics = []
@@ -269,28 +259,19 @@ def _parse_inline_quadrics(args):
         try:
             quadrics.append(parse_polynomial(text.strip(), names, field))
         except ParseError as exc:
-            raise UsageError(f"in quadric {text!r}: {exc}")
+            raise InputError(f"in quadric {text!r}: {exc}")
     return names, quadrics, field
-
-
-def _certify(certifier, *args):
-    """Run a family certifier; an input outside its family is a usage error,
-    while any other failure reaches ``main`` as an inconsistency."""
-    try:
-        return certifier(*args)
-    except InputError as exc:
-        raise UsageError(str(exc))
 
 
 def cmd_family(args) -> int:
     started = time.perf_counter()
     family = args.family
     if args.max_hom is not None and family != "cycle":
-        raise UsageError("--max-hom applies to --family cycle only")
+        raise InputError("--max-hom applies to --family cycle only")
     digest = None
     if family == "cycle":
         if args.n is None or args.n < 3:
-            raise UsageError("--family cycle needs -n >= 3")
+            raise InputError("--family cycle needs -n >= 3")
         ring = build_cycle_ring(args.n, _field_from_flag(args.field))
         H = homology(ring, ring.n, args.n)
         p_max = 3 if args.max_hom is None else min(3, args.max_hom)
@@ -303,23 +284,23 @@ def cmd_family(args) -> int:
     else:
         if family == "ci":
             names, quadrics, field = _parse_inline_quadrics(args)
-            ring, cert = _certify(build_quadratic_ci, len(names), quadrics, field, names)
+            ring, cert = build_quadratic_ci(len(names), quadrics, field, names)
         elif family == "gorenstein":
             if not args.ring:
-                raise UsageError("--family gorenstein needs a ring file")
+                raise InputError("--family gorenstein needs a ring file")
             ring, digest = load_ring(args.ring, args.field)
-            cert = _certify(short_gorenstein_certify, ring)
+            cert = short_gorenstein_certify(ring)
         elif family == "three-rel":
             if not args.ring:
-                raise UsageError("--family three-rel needs a ring file")
+                raise InputError("--family three-rel needs a ring file")
             ring, digest = load_ring(args.ring, args.field)
-            cert = _certify(three_relation_certify, ring)
+            cert = three_relation_certify(ring)
         elif family == "path":
             if args.n is None or args.n < 3:
-                raise UsageError("--family path needs -n >= 3")
+                raise InputError("--family path needs -n >= 3")
             ring, cert = path_certify(args.n, _field_from_flag(args.field))
         else:
-            raise UsageError(f"unknown family {family!r}")
+            raise InputError(f"unknown family {family!r}")
         bounds = dict(cert.verdict.bound)
         tables = {}
         verdicts = {"family": cert.to_json()}
@@ -407,11 +388,8 @@ def main(argv=None) -> int:
         # the reader is gone; keep the flush at exit from failing as well
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a process it killed
-    except UsageError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         # inconsistencies surfaced by the identity machinery

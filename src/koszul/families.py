@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 
 from .betti import Verdict
-from .fields import QQ, Field
+from .fields import QQ, Field, InputError
 from .freealg import (Certification, FreeAlgebra, NCPresentation,
                       ReductionSystem, certify_groebner_by_dims)
 from .homology import KoszulHomologyAlgebra, differential, homology
@@ -24,10 +24,6 @@ from .polyring import QuotientRing
 from .series import univariate_binomial, univariate_mul
 from .sparse import (SparseMatrix, diagonalize_symmetric_form, kernel_of_columns,
                      rank_of_columns, solve_in_image, symplectic_basis)
-
-
-class InputError(ValueError):
-    """A certifier's input is outside its family; other errors are failures."""
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +284,7 @@ def short_gorenstein_certify(R: QuotientRing):
     """Certify strand-Koszulness of an artinian Gorenstein ring of socle
     degree 2 via Poincare duality and an explicit quadratic rewriting system.
 
-    Needs characteristic != 2 unless the embedding dimension is odd.
+    Needs embedding dimension >= 2, and characteristic != 2 unless it is odd.
     Returns the FamilyCertificate.
     """
     n = R.n
@@ -298,6 +294,8 @@ def short_gorenstein_certify(R: QuotientRing):
     hilbert = R.hilbert_coeffs(3)
     if hilbert != [1, n, 1, 0]:
         raise InputError(f"not a short Gorenstein ring: Hilbert {hilbert}")
+    if n < 2:
+        raise InputError(f"the certificate needs embedding dimension >= 2, got {n}")
     H = homology(R, n, n + 2)
     dims = H.dims()
     if dims.get((n, n + 2), 0) != 1:

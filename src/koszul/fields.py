@@ -16,12 +16,16 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
+class InputError(ValueError):
+    """Outside input is malformed, or outside a certifier's family (CLI exit 2)."""
+
+
 def _is_prime(p: int) -> bool:
-    """Deterministic primality for p < _MR_LIMIT; larger p raise ValueError."""
+    """Deterministic primality for p < _MR_LIMIT; larger p raise InputError."""
     if p < 2:
         return False
     if p >= _MR_LIMIT:
-        raise ValueError(f"field order {p} is too large: primality is only "
+        raise InputError(f"field order {p} is too large: primality is only "
                          f"decided below {_MR_LIMIT}")
     for q in _MR_BASES:
         if p % q == 0:
@@ -50,7 +54,7 @@ class Field:
 
     def __init__(self, p: int = 0):
         if p != 0 and not _is_prime(p):
-            raise ValueError(f"field order must be 0 (rationals) or prime, got {p}")
+            raise InputError(f"field order must be 0 (rationals) or prime, got {p}")
         self.p = p
 
     @property
@@ -146,4 +150,4 @@ def field_from_spec(spec) -> Field:
         order = spec["Fp"]
         if type(order) is int:
             return Field(order)
-    raise ValueError(f"unrecognized field spec: {spec!r}")
+    raise InputError(f"unrecognized field spec: {spec!r}")

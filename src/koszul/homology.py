@@ -19,21 +19,18 @@ from operator import le
 
 from .fields import Field
 from .graded import GradedAlgebraData
-from .polyring import QuotientRing, grevlex_key
+from .polyring import QuotientRing
 from .sparse import ComplexRanks, FieldEchelon, kernel_of_columns
 
 
 def koszul_basis(ring: QuotientRing, i: int, j: int) -> tuple:
-    """Basis of the (i, j) component: standard v of degree j - i, |w| = i."""
+    """Basis of the (i, j) component: standard v of degree j - i, |w| = i,
+    sorted by (w, grevlex key of v) as combinations and std_monomials yield them."""
     if i < 0 or i > ring.n or j < i:
         return ()
     ring_part = ring.std_monomials(j - i)
-    out = []
-    for w in itertools.combinations(range(ring.n), i):
-        for v in ring_part:
-            out.append((v, w))
-    out.sort(key=lambda bw: (bw[1], grevlex_key(bw[0])))
-    return tuple(out)
+    return tuple((v, w) for w in itertools.combinations(range(ring.n), i)
+                 for v in ring_part)
 
 
 def _multidegree(basis_elt) -> tuple:
@@ -42,7 +39,8 @@ def _multidegree(basis_elt) -> tuple:
 
 
 def koszul_basis_multigraded(ring: QuotientRing, i: int, u: tuple) -> tuple:
-    """Basis of the multidegree-u slice in homological degree i (monomial rings)."""
+    """Basis of the multidegree-u slice in homological degree i (monomial
+    rings): at most one v per w, so sorted as koszul_basis is."""
     if i < 0 or i > ring.n or any(e < 0 for e in u):
         return ()
     support = [k for k, e in enumerate(u) if e]
@@ -53,7 +51,6 @@ def koszul_basis_multigraded(ring: QuotientRing, i: int, u: tuple) -> tuple:
         v = tuple(e - (k in w) for k, e in enumerate(u))
         if ring.is_standard(v):
             out.append((v, w))
-    out.sort(key=lambda bw: (bw[1], grevlex_key(bw[0])))
     return tuple(out)
 
 

@@ -35,7 +35,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, inf, lcm
 
-from .fields import QQ, Field
+from .fields import QQ, Field, InputError
 from .sparse import FieldEchelon
 
 Monomial = tuple
@@ -132,12 +132,12 @@ class QuotientRing:
 
     def __init__(self, n: int, relations, field: Field = QQ, names=None):
         if n < 0:
-            raise ValueError("need a nonnegative number of variables")
+            raise InputError("need a nonnegative number of variables")
         self.n = n
         self.field = field
         self.names = list(names) if names else [f"x{i+1}" for i in range(n)]
         if len(self.names) != n:
-            raise ValueError("variable name count does not match n")
+            raise InputError("variable name count does not match n")
         self.relations = []
         for rel in relations:
             # coerce before dropping zeros: a coefficient may vanish in the field
@@ -145,11 +145,11 @@ class QuotientRing:
             if not rel:
                 continue
             if any(len(m) != n for m in rel):
-                raise ValueError("relation exponent length does not match n")
+                raise InputError("relation exponent length does not match n")
             if not is_homogeneous(rel):
-                raise ValueError("relations must be homogeneous")
+                raise InputError("relations must be homogeneous")
             if poly_degree(rel) < 2:
-                raise ValueError("relations must have degree >= 2")
+                raise InputError("relations must have degree >= 2")
             self.relations.append(rel)
         self.is_monomial = all(len(rel) == 1 for rel in self.relations)
         # a monomial ideal's minimal generators, by grevlex key
@@ -338,7 +338,7 @@ class QuotientRing:
         return f"QuotientRing({self.field}[{', '.join(self.names)}] / ({rels}))"
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position

@@ -1,12 +1,18 @@
 import importlib
+import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import koszul.cli
 from koszul import QQ, Field
@@ -384,62 +390,90 @@ def test_negative_bounds_rejected_at_parse_time(tmp_path, capsys, argv):
     assert f"argument {argv[-2]}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc, named", [
-    ({"field": "QQ", "variables": ["x", "y"], "relations": [3, "x^2"]},
-     "relation 0 must be a string"),
-    ({"field": {"Fp": 3}, "variables": ["x", "y"], "relations": ["x^2 - 1/3*y^2"]},
-     "in relation 'x^2 - 1/3*y^2': denominator 3 vanishes in GF(3)"),
-    ({"field": "QQ", "variables": "xy", "relations": ["x^2"]},
-     "'variables' must be a list of names"),
-    ({"field": "QQ", "variables": ["x", "x"], "relations": ["x^2"]},
-     "'variables' names 'x' twice"),
-    ({"field": "QQ", "variables": ["x"], "relations": "x^2"},
-     "'relations' must be a list of strings"),
-    ({"field": {"Fp": [7]}, "variables": ["x"], "relations": ["x^2"]},
-     "unrecognized field spec"),
-    (["x^2"], "ring document must be a JSON object"),
-    ({"field": "QQ", "variables": ["x", ""], "relations": ["x^2"]},
-     "'variables' has an empty name at position 1"),
-    ({"field": {"Fp": 2.5}, "variables": ["x"], "relations": ["x^2"]},
-     "unrecognized field spec"),
-    ({"field": {"Fp": 7.9}, "variables": ["x"], "relations": ["x^2"]},
-     "unrecognized field spec"),
-    ({"field": {"Fp": 7.0}, "variables": ["x"], "relations": ["x^2"]},
-     "unrecognized field spec"),
-    ({"field": {"Fp": "7"}, "variables": ["x"], "relations": ["x^2"]},
-     "unrecognized field spec"),
-    ({"field": {"Fp": True}, "variables": ["x"], "relations": ["x^2"]},
-     "unrecognized field spec"),
-])
-def test_malformed_ring_documents_exit_2(tmp_path, capsys, doc, named):
-    path = write_ring(tmp_path, doc)
-    assert main(["homology", path, "--max-int", "2"]) == 2
+def assert_rejected(capsys, argv, message):
+    """``main`` exits 2, prints nothing on stdout, and prints exactly
+    ``error: <message>`` on stderr."""
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert named in captured.err
-    assert "Traceback" not in captured.err and not captured.out
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("variables, quadrics, named", [
-    ("x,y", "x^2,x^2", "not a regular sequence"),
+# (document, the start of its message, the rest): a case is named by the start
+# of its message, as it was before the whole stderr line was pinned
+MALFORMED_DOCUMENTS = [
+    ({"field": "QQ", "variables": ["x", "y"], "relations": [3, "x^2"]},
+     "relation 0 must be a string", ", got 3"),
+    ({"field": {"Fp": 3}, "variables": ["x", "y"], "relations": ["x^2 - 1/3*y^2"]},
+     "in relation 'x^2 - 1/3*y^2': denominator 3 vanishes in GF(3)", " (at position 6)"),
+    ({"field": "QQ", "variables": "xy", "relations": ["x^2"]},
+     "'variables' must be a list of names", ", got 'xy'"),
+    ({"field": "QQ", "variables": ["x", "x"], "relations": ["x^2"]},
+     "'variables' names 'x' twice", ""),
+    ({"field": "QQ", "variables": ["x"], "relations": "x^2"},
+     "'relations' must be a list of strings", ", got 'x^2'"),
+    ({"field": {"Fp": [7]}, "variables": ["x"], "relations": ["x^2"]},
+     "unrecognized field spec", ": {'Fp': [7]}"),
+    (["x^2"], "ring document must be a JSON object", ""),
+    ({"field": "QQ", "variables": ["x", ""], "relations": ["x^2"]},
+     "'variables' has an empty name at position 1", ""),
+    ({"field": {"Fp": 2.5}, "variables": ["x"], "relations": ["x^2"]},
+     "unrecognized field spec", ": {'Fp': 2.5}"),
+    ({"field": {"Fp": 7.9}, "variables": ["x"], "relations": ["x^2"]},
+     "unrecognized field spec", ": {'Fp': 7.9}"),
+    ({"field": {"Fp": 7.0}, "variables": ["x"], "relations": ["x^2"]},
+     "unrecognized field spec", ": {'Fp': 7.0}"),
+    ({"field": {"Fp": "7"}, "variables": ["x"], "relations": ["x^2"]},
+     "unrecognized field spec", ": {'Fp': '7'}"),
+    ({"field": {"Fp": True}, "variables": ["x"], "relations": ["x^2"]},
+     "unrecognized field spec", ": {'Fp': True}"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message", [(doc, named + rest) for doc, named, rest in MALFORMED_DOCUMENTS],
+    ids=[f"doc{k}-{named}" for k, (_, named, _) in enumerate(MALFORMED_DOCUMENTS)])
+def test_malformed_ring_documents_exit_2(tmp_path, capsys, doc, message):
+    assert_rejected(capsys, ["homology", write_ring(tmp_path, doc), "--max-int", "2"],
+                    message)
+
+
+@pytest.mark.parametrize("variables, quadrics, message", [
+    pytest.param("x,y", "x^2,x^2",
+                 "not a regular sequence: Hilbert coefficient 2 != 1 in degree 2",
+                 id="x,y-x^2,x^2-not a regular sequence"),
     ("x,y", "x^2,x*y+y", "quadric 2 is not a nonzero homogeneous quadric"),
     ("x,y", "x^3,y^2", "quadric 1 is not a nonzero homogeneous quadric"),
     ("x,,y", "x^2,y^2", "--variables has an empty name at position 1"),
     ("x,x,y", "x^2,y^2", "--variables names 'x' twice"),
 ])
-def test_family_ci_rejects_bad_input(capsys, variables, quadrics, named):
-    assert main(["family", "--family", "ci", "--variables", variables,
-                 "--quadrics", quadrics]) == 2
-    captured = capsys.readouterr()
-    assert named in captured.err
-    assert "Traceback" not in captured.err and not captured.out
+def test_family_ci_rejects_bad_input(capsys, variables, quadrics, message):
+    assert_rejected(capsys, ["family", "--family", "ci", "--variables", variables,
+                             "--quadrics", quadrics], message)
 
 
 def test_family_ci_rejects_composite_field(capsys):
-    assert main(["family", "--family", "ci", "--variables", "x,y",
-                 "--quadrics", "x^2,y^2", "--field", "F4"]) == 2
-    captured = capsys.readouterr()
-    assert "--field: field order must be 0 (rationals) or prime, got 4" in captured.err
-    assert "Traceback" not in captured.err and not captured.out
+    assert_rejected(capsys, ["family", "--family", "ci", "--variables", "x,y",
+                             "--quadrics", "x^2,y^2", "--field", "F4"],
+                    "--field: field order must be 0 (rationals) or prime, got 4")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a flag that names no field at all is reported as it was written
+    (["family", "--family", "path", "-n", "3", "--field", "F"],
+     '--field must be "QQ" or "F<p>", got \'F\''),
+    (["family", "--family", "cycle", "-n", "4", "--field", "GF7"],
+     '--field must be "QQ" or "F<p>", got \'GF7\''),
+    (["family", "--family", "path", "-n", "3", "--field", "F1"],
+     "--field: field order must be 0 (rationals) or prime, got 1"),
+    # over a ring document, --field stands in for the document's field
+    (["homology", "@", "--field", "F4"],
+     "field order must be 0 (rationals) or prime, got 4"),
+    (["check", "@", "--what", "koszul", "--field", "Fx"],
+     '--field must be "QQ" or "F<p>", got \'Fx\''),
+], ids=["path-F", "cycle-GF7", "path-F1", "homology-F4", "check-Fx"])
+def test_field_flag_rejections(tmp_path, capsys, argv, message):
+    path = write_ring(tmp_path, RING_PATH3)
+    assert_rejected(capsys, [path if a == "@" else a for a in argv], message)
 
 
 def test_family_internal_failure_exits_1(monkeypatch, capsys):
@@ -451,17 +485,70 @@ def test_family_internal_failure_exits_1(monkeypatch, capsys):
     assert "complete-intersection cycle failed to be a cycle" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("family, relations, named", [
-    ("gorenstein", ["x^2", "x*y", "y^2"], "not a short Gorenstein ring"),
-    ("three-rel", ["x^2", "y^2"], "need exactly three defining relations"),
-])
-def test_family_ring_outside_the_family_exits_2(tmp_path, capsys, family, relations, named):
-    path = write_ring(tmp_path, {"field": "QQ", "variables": ["x", "y"],
+@pytest.mark.parametrize("family, variables, relations, message", [
+    ("gorenstein", ["x", "y"], ["x^2", "x*y", "y^2"],
+     "not a short Gorenstein ring: Hilbert [1, 2, 0, 0]"),
+    ("three-rel", ["x", "y"], ["x^2", "y^2"], "need exactly three defining relations"),
+    # Hilbert function [1, 1, 1, 0], but the certificate needs two variables
+    ("gorenstein", ["x"], ["x^3"], "the certificate needs embedding dimension >= 2, got 1"),
+], ids=["gorenstein-relations0-not a short Gorenstein ring",
+        "three-rel-relations1-need exactly three defining relations",
+        "gorenstein-relations2-the certificate needs embedding dimension >= 2"])
+def test_family_ring_outside_the_family_exits_2(tmp_path, capsys, family, variables,
+                                                relations, message):
+    path = write_ring(tmp_path, {"field": "QQ", "variables": variables,
                                  "relations": relations})
-    assert main(["family", "--family", family, "--ring", path]) == 2
-    captured = capsys.readouterr()
-    assert named in captured.err
-    assert "Traceback" not in captured.err and not captured.out
+    assert_rejected(capsys, ["family", "--family", family, "--ring", path], message)
+
+
+_NAMES = ["x", "y", "z"]
+_MALFORMED = ["x^", "x ^^ 2", "1/0*x^2", "x*$", "x^2 +", "x^2 y", "w^2", "2", ""]
+
+
+@st.composite
+def ring_documents(draw):
+    """Ring documents in 0-3 variables.  A relation is a signed sum of terms
+    of one degree from 1 to 3 (half the time), of mixed degrees, or a
+    malformed token; coefficients are small integers and rationals."""
+    names = _NAMES[:draw(st.integers(0, 3))]
+    coefficient = st.sampled_from(["", "2*", "3*", "1/2*", "2/3*", "0*"])
+
+    def terms(low, high):
+        term = st.tuples(coefficient, st.lists(st.sampled_from(names or _NAMES),
+                                               min_size=low, max_size=high))
+        return st.lists(term.map(lambda t: t[0] + "*".join(t[1])), min_size=1,
+                        max_size=3).map(" - ".join)
+
+    relation = st.one_of(st.integers(1, 3).flatmap(lambda d: terms(d, d)),
+                         st.one_of(terms(1, 3), st.sampled_from(_MALFORMED)))
+    return {"field": draw(st.sampled_from(["QQ", {"Fp": 2}, {"Fp": 3}, {"Fp": 4}])),
+            "variables": names,
+            "relations": draw(st.lists(relation, max_size=4))}
+
+
+_ON_EVERY_DOCUMENT = [
+    (["homology", "@", "--max-int", "4"], {0, 2}),
+    (["check", "@", "--what", "koszul", "--bound", "3"], {0, 2}),
+    (["family", "--family", "gorenstein", "--ring", "@"], {0, 1, 2}),
+    (["family", "--family", "three-rel", "--ring", "@"], {0, 1, 2}),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_documents())
+@example({"field": "QQ", "variables": ["x"], "relations": ["x^3"]})
+def test_generated_ring_documents_never_raise(doc):
+    # bad input exits 2 with one error line; nothing escapes main
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_ring(Path(directory), doc)
+        for argv, codes in _ON_EVERY_DOCUMENT:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([path if a == "@" else a for a in argv])
+            assert code in codes, (argv, err.getvalue())
+            if code == 2:
+                assert out.getvalue() == ""
+                assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), err.getvalue()
 
 
 def test_closed_stdout_exits_141_without_traceback():

@@ -14,6 +14,7 @@ from koszul.graded import ring_algebra_data
 from koszul.homology import (HomologyClass, _multidegree, differential,
                              differential_of_basis, homology, koszul_basis,
                              koszul_basis_multigraded, multigraded_homology)
+from koszul.polyring import grevlex_key
 
 from conftest import generic_quadrics_ring, in_field, make_63ne, ring_from_strings
 from oracles import dense_homology_dim
@@ -39,6 +40,24 @@ def test_multidegree_slice_bases_path3():
                         ((0, 0, 1), (0, 1))}
     three = koszul_basis_multigraded(ring, 3, (1, 1, 1))
     assert three == (((0, 0, 0), (0, 1, 2)),)
+
+
+@pytest.mark.parametrize("make", [make_63ne, lambda: build_path_ring(6),
+                                  lambda: generic_quadrics_ring(Field(5), 4, 3)],
+                         ids=["63ne", "path6", "gf5-quadrics"])
+def test_koszul_bases_come_sorted(make):
+    # neither builder sorts: combinations yield w in lexicographic order and
+    # std_monomials is ascending in grevlex key
+    ring = make()
+
+    def in_order(basis):
+        return list(basis) == sorted(set(basis), key=lambda vw: (vw[1], grevlex_key(vw[0])))
+
+    for i in range(ring.n + 1):
+        assert all(in_order(koszul_basis(ring, i, j)) for j in range(i, i + 4))
+        if ring.is_monomial:
+            assert all(in_order(koszul_basis_multigraded(ring, i, u))
+                       for u in itertools.product(range(3), repeat=ring.n))
 
 
 def test_differential_displayed_formula():
