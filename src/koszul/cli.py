@@ -75,6 +75,10 @@ def load_ring(path: str, field_override: str | None = None) -> tuple[QuotientRin
         raise InputError(f"cannot read ring file: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"ring file is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"ring file is not UTF-8: {exc}")
+    except RecursionError:
+        raise InputError("ring file nests JSON arrays or objects too deeply")
     if not isinstance(doc, dict):
         raise InputError("ring document must be a JSON object")
     for key in ("field", "variables", "relations"):

@@ -140,6 +140,11 @@ class Field:
 
 QQ = Field(0)
 
+# The one prime of modular work over QQ: the certified twins of
+# koszul.polyring and the first ranks of fractional slices in koszul.sparse.
+# Residues below 2^15 keep their products single-digit CPython ints.
+MODULAR = Field(32003)
+
 
 def field_from_spec(spec) -> Field:
     """Build a field from the document form ``"QQ"`` or ``{"Fp": p}``, where

@@ -73,7 +73,7 @@ def ring_algebra_data(ring, weight_max: int) -> GradedAlgebraData:
     """The quotient ring itself as graded-algebra data on grades (d,)."""
     components = {}
     for d in range(1, weight_max + 1):
-        dim = ring.dim(d)
+        dim = len(ring.std_monomials(d))  # the basis mult reads, not a twin's
         if dim:
             components[(d,)] = dim
 

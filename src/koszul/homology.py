@@ -9,12 +9,18 @@ For monomial ideals everything additionally splits by multidegree, and the
 homology is assembled from the (tiny) multidegree slices; nonzero homology
 only occurs in squarefree multidegrees, which the property suite cross-checks
 against the bigraded computation.
+
+Over QQ, a ring with a certified twin over GF(P) (``QuotientRing.twin``) has
+its homology dimensions ranked on the twin's complex: ``ComplexRanks``
+certifies each rank, or takes that one slice again over QQ.  Cycle
+representatives, coordinates and products stay on the ring itself.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from math import comb
 from operator import le
 
 from .fields import Field
@@ -146,7 +152,8 @@ class KoszulHomologyAlgebra:
     only ones that carry homology.  Every slice and class is keyed by its
     grade, and a class's index is ``(g, k)``.  Dimensions come from the ranks
     of the differential, which one ``ComplexRanks`` takes once each, by one
-    rule on either route:
+    rule on either route, on the complex of the ring's certified twin where
+    it has one:
     ``dim H_{i,g} = dim K_{i,g} - rank d_{i,g} - rank d_{i+1,g}``.  Slices
     with cycle representatives are built lazily, only where the ranks show
     homology or a cycle needs coordinates, and cached.  Products of classes
@@ -164,8 +171,8 @@ class KoszulHomologyAlgebra:
         # squarefree monomial ideals: homology is concentrated in squarefree
         # multidegrees, so slices can be assembled per multidegree
         self.multigraded = ring.is_squarefree_monomial
-        # all keyed by (i, grade)
-        self._complex_bases: dict = {}
+        self._complex_bases: dict = {}   # (i, grade, on the twin) -> basis
+        # the rest keyed by (i, grade)
         self._ranks = ComplexRanks(self.field)
         self._slices: dict = {}
         self._classes_of: dict = {}
@@ -175,25 +182,34 @@ class KoszulHomologyAlgebra:
 
     # -- slice plumbing -----------------------------------------------------
 
-    def _complex_basis(self, i: int, grade) -> tuple:
-        key = (i, grade)
+    def _complex_basis(self, i: int, grade, twin=False) -> tuple:
+        """A basis of K_i in one slice, over the ring or over its twin."""
+        key = (i, grade, twin)
         hit = self._complex_bases.get(key)
         if hit is None:
             if self.multigraded:
                 hit = koszul_basis_multigraded(self.ring, i, grade)
             else:
-                hit = koszul_basis(self.ring, i, grade)
+                hit = koszul_basis(self.ring.twin(self.j_max) if twin else self.ring,
+                                   i, grade)
             self._complex_bases[key] = hit
         return hit
 
-    def _columns(self, i: int, grade) -> list[dict]:
-        """Columns of the differential leaving K_i in one slice; none where
-        K_i or K_{i-1} is zero."""
-        here = self._complex_basis(i, grade)
-        below = self._complex_basis(i - 1, grade)
+    def _columns(self, i: int, grade, twin=False) -> list[dict]:
+        """Columns of the differential leaving K_i in one slice, over the
+        ring or over its twin; none where K_i or K_{i-1} is zero."""
+        here = self._complex_basis(i, grade, twin)
+        below = self._complex_basis(i - 1, grade, twin)
         if not (here and below):
             return []
-        return _differential_columns(self.ring, here, below)
+        return _differential_columns(self.ring.twin(self.j_max) if twin else self.ring,
+                                     here, below)
+
+    def _size(self, i: int, grade) -> int:
+        """dim K_i in one slice, read from the Hilbert function where it can."""
+        if self.multigraded:
+            return len(self._complex_basis(i, grade))
+        return comb(self.ring.n, i) * self.ring.dim(grade - i) if i >= 0 else 0
 
     def _slice(self, i: int, grade) -> _Slice:
         key = (i, grade)
@@ -209,8 +225,10 @@ class KoszulHomologyAlgebra:
         sl = self._slices.get((i, grade))
         if sl is not None:
             return sl.dim
-        return self._ranks.homology(i, grade, self._columns,
-                                    lambda k, g: len(self._complex_basis(k, g)))
+        if self.ring.twin(self.j_max) is None:
+            return self._ranks.homology(i, grade, self._columns, self._size)
+        return self._ranks.homology(i, grade, lambda k, g: self._columns(k, g, True),
+                                    self._size, self._columns)
 
     def _in_lcm_lattice(self, u: tuple) -> bool:
         """Whether u is the lcm of the minimal generators dividing it (u = 0

@@ -27,6 +27,16 @@ are all standard.
 Inside the ring a normal form is an int vector over one positive denominator
 (1 over GF(p)), so phi and the echelon never touch a Fraction; field elements
 are made only in ``normal_form``, ``mono_product`` and ``groebner``.
+
+A QQ ring that is not monomial and has m <= n relations, of degrees d_i, may
+have a certified twin over GF(P), P = ``MODULAR.p``: the relations scaled to
+primitive integer polynomials and reduced mod P.  With x_{m+1} = ... = x_n =
+0 they must leave a ring that vanishes in degree sum(d_i - 1) + 1.  Then the
+relations and x_{m+1}, ..., x_n are a regular sequence mod P (Stanley 1978),
+hence over Z_(P), so R_Z = Z_(P)[x]/(relations) is free over Z_(P) with
+R_Z / P the twin: the Hilbert functions agree, and a Koszul differential on
+the twin reduces one over Z_(P), so its rank mod P is at most the QQ rank.
+``dim`` and ``hilbert_coeffs`` read the twin; the rest stays on this ring.
 """
 
 from __future__ import annotations
@@ -35,10 +45,12 @@ import itertools
 from fractions import Fraction
 from math import gcd, inf, lcm
 
-from .fields import QQ, Field, InputError
+from .fields import MODULAR, QQ, Field, InputError
 from .sparse import FieldEchelon
 
 Monomial = tuple
+
+_UNBUILT = object()
 
 
 def grevlex_key(m: Monomial):
@@ -162,6 +174,7 @@ class QuotientRing:
         self._std: dict[int, tuple] = {}
         self._nf: dict = {}  # monomial -> its normal form, see _nf_int
         self._products: dict = {}  # (monomial, monomial) -> normal form of the product
+        self._twin = _UNBUILT  # the certified twin over MODULAR, or None
 
     @property
     def is_squarefree_monomial(self) -> bool:
@@ -303,12 +316,51 @@ class QuotientRing:
         is supported on standard monomials, so m is one iff NF(m) contains m."""
         return m in self._nf_int(m)[0]
 
+    def twin(self, degree: int):
+        """The certified twin of a QQ ring over ``MODULAR``, or None (see the
+        module docstring).  The first request that reaches ``degree`` >=
+        sum(d_i - 1) - 1 builds it; a lower one gets None and is answered on
+        this ring."""
+        if self._twin is _UNBUILT:
+            relations = self.relations
+            if self.field.p or self.is_monomial or len(relations) > self.n:
+                self._twin = None
+            elif degree < sum(poly_degree(rel) - 1 for rel in relations) - 1:
+                return None
+            else:
+                self._twin = self._certified_twin()
+        return self._twin
+
+    def _certified_twin(self):
+        relations, n, m = self.relations, self.n, len(self.relations)
+        # the Hilbert function of an Artinian complete intersection in m
+        # variables: prod (1 + t + ... + t^(d_i - 1)), up to degree sum(d_i - 1)
+        expected = [1]
+        for d in map(poly_degree, relations):
+            expected = [sum(expected[max(k - d + 1, 0):k + 1])
+                        for k in range(len(expected) + d - 1)]
+        primitive = []
+        for rel in relations:
+            den = lcm(*(c.denominator for c in rel.values()))
+            ints = {mono: c.numerator * (den // c.denominator) for mono, c in rel.items()}
+            g = gcd(*ints.values())
+            primitive.append({mono: v // g for mono, v in ints.items()})
+        twin = QuotientRing(n, primitive, MODULAR, self.names)
+        # the relations with x_{m+1} = ... = x_n = 0, mod P
+        check = twin if m == n else QuotientRing(m, [
+            {mono[:m]: c for mono, c in rel.items() if not any(mono[m:])}
+            for rel in twin.relations], MODULAR)
+        # stops at the first degree off the complete intersection's
+        certified = all(check.dim(k) == e for k, e in enumerate(expected + [0]))
+        return twin if certified else None
+
     def dim(self, d: int) -> int:
-        return len(self.std_monomials(d))
+        return len((self.twin(d) or self).std_monomials(d))
 
     def hilbert_coeffs(self, D: int) -> list[int]:
         if D < 0:
             raise ValueError("need D >= 0")
+        self.twin(D)  # before the low degrees, so that they read it too
         return [self.dim(d) for d in range(D + 1)]
 
     def basis_index(self, d: int) -> dict:

@@ -11,7 +11,10 @@ occur here (mostly +-1 entries), over GF(p) on residues.  ``FieldEchelon``
 keeps its residuals on ints too; only ``reduce`` and ``column`` hand out
 field elements.  Symmetric and alternating forms are brought to normal form
 by one congruence loop on sparse column vectors, ``_congruence``.  The ranks
-of a complex's differential are taken once, by one rule, in ``ComplexRanks``.
+of a complex's differential are taken once, by one rule, in ``ComplexRanks``,
+which also certifies the ranks it takes mod P = ``MODULAR.p`` over QQ: of
+slices with fractional entries, and of the Koszul complex of a QQ ring's
+certified twin over GF(P).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import heapq
 import itertools
 from math import gcd, lcm
 
-from .fields import QQ, Field
+from .fields import MODULAR, QQ, Field
 
 
 class SparseMatrix:
@@ -317,9 +320,6 @@ def rank_of_columns(columns, field: Field = QQ, bound: int | None = None) -> int
     return ech.rank
 
 
-_FP = Field(2**31 - 1)   # the prime fractional QQ slices are first ranked modulo
-
-
 class ComplexRanks:
     """Ranks of the differential of a graded complex, slice by slice, and its
     homology.
@@ -331,17 +331,21 @@ class ComplexRanks:
     own methods, which kept here would tie the two in a reference cycle that
     only the cyclic garbage collector frees.
 
-    One rule over QQ: a slice whose columns hold a non-integral entry is
-    ranked mod P = 2^31 - 1 first.  ``IntEchelon`` reads a column mod P as its
-    multiple by the lcm of its denominators, which keeps its QQ rank, and the
-    rank of an integer matrix mod P never exceeds its QQ rank, so r_P <= r.
-    Every elimination stops at its d^2 = 0 bound, min(dim C_{p-1} - r(p-1),
-    dim C_p - r(p+1)) with the neighbours' exact ranks or 0; no slice is
-    built where it is 0.  An r_P(p) that reaches it is exact, and so is one
-    that makes a neighbour's bound tight, dim C_p = r_P(p) + r(p+1) or dim
-    C_{p-1} = r(p-1) + r_P(p), with that rank exact or its own r_P; a tight
-    bound settles both.  Otherwise the columns are ranked over QQ.  Every
-    other slice, over GF(p) or with integral entries, is ranked directly.
+    One rule over QQ for every rank r that is only known mod P = MODULAR.p,
+    as r_P <= r.  Such are the ranks of a slice whose columns hold a
+    non-integral entry: ``IntEchelon`` reads a column mod P as its multiple
+    by the lcm of its denominators, which keeps its QQ rank, and the rank of
+    an integer matrix mod P never exceeds its QQ rank.  With ``qq_columns``,
+    such are all ranks: ``columns`` are then those of a certified twin over
+    GF(P), the reduction of a complex over Z_(P) (see ``koszul.polyring``),
+    and ``qq_columns(p, g)`` the same slice over QQ.  Every elimination stops
+    at its d^2 = 0 bound, min(dim C_{p-1} - r(p-1), dim C_p - r(p+1)) with
+    the neighbours' exact ranks or 0; no slice is built where it is 0.  An
+    r_P(p) that reaches it is exact, and so is one that makes a neighbour's
+    bound tight, dim C_p = r_P(p) + r(p+1) or dim C_{p-1} = r(p-1) + r_P(p),
+    with that rank exact or its own r_P; a tight bound settles both.
+    Otherwise the slice is ranked over QQ.  Every other slice, over GF(p) or
+    with integral entries, is ranked directly.
     """
 
     __slots__ = ("field", "exact", "modular")
@@ -349,31 +353,33 @@ class ComplexRanks:
     def __init__(self, field: Field):
         self.field = field
         self.exact: dict = {}     # (p, g) -> rank
-        self.modular: dict = {}   # (p, g) -> rank mod P of a fractional QQ slice
+        self.modular: dict = {}   # (p, g) -> rank mod P, where one was taken
 
-    def homology(self, p: int, g, columns, size) -> int:
+    def homology(self, p: int, g, columns, size, qq_columns=None) -> int:
         n = size(p, g)
-        return n and n - self.rank(p, g, columns, size) - self.rank(p + 1, g, columns, size)
+        return n and (n - self.rank(p, g, columns, size, qq_columns)
+                      - self.rank(p + 1, g, columns, size, qq_columns))
 
-    def rank(self, p: int, g, columns, size) -> int:
+    def rank(self, p: int, g, columns, size, qq_columns=None) -> int:
         key = (p, g)
-        r = self._bound(p, g, columns, size)
+        r = self._bound(p, g, columns, size, qq_columns)
         if key in self.exact:
             return r
-        # r is the rank mod P of a fractional slice: certify it, or rank over QQ
+        # r is a rank mod P: certify it, or rank over QQ
         for k, n in ((p - 1, size(p - 1, g)), (p + 1, size(p, g))):
-            other = self._bound(k, g, columns, size)
+            other = self._bound(k, g, columns, size, qq_columns)
             if r + other == n:
                 self.exact[(k, g)] = other
                 break
         else:
-            r = rank_of_columns(columns(p, g), QQ)
+            r = rank_of_columns((qq_columns or columns)(p, g), QQ)
         self.exact[key] = r
         return r
 
-    def _bound(self, p: int, g, columns, size) -> int:
+    def _bound(self, p: int, g, columns, size, qq_columns) -> int:
         """A lower bound for rank(p, g): the rank if known, else taken
-        directly, or else, on a fractional QQ slice, its rank mod P."""
+        directly, or else, with ``qq_columns`` or on a fractional QQ slice,
+        its rank mod P."""
         key = (p, g)
         hit = self.exact.get(key, self.modular.get(key))
         if hit is None:
@@ -381,9 +387,9 @@ class ComplexRanks:
             top = min(size(p - 1, g) - exact.get((p - 1, g), 0),
                       size(p, g) - exact.get((p + 1, g), 0))
             cols = columns(p, g) if top else []
-            if not self.field.p and any(v.denominator != 1 for col in cols
-                                        for v in col.values()):
-                hit = self.modular[key] = rank_of_columns(cols, _FP, top)
+            if qq_columns or not self.field.p and any(
+                    v.denominator != 1 for col in cols for v in col.values()):
+                hit = self.modular[key] = rank_of_columns(cols, MODULAR, top)
                 if hit == top:
                     exact[key] = hit
             else:

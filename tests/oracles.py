@@ -8,6 +8,7 @@ ideal membership of p - reduce(p) can be verified by exact reconstruction.
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 
 def dense_rank_kernel(columns, nrows, p=0):
@@ -156,3 +157,28 @@ def d_squared_is_zero(engine, p, grade):
     return not any(collect((pos2, c * c2) for pos, c in col.items()
                            for pos2, c2 in cols_q[pos].items())
                    for col in cols)
+
+
+def complete_intersection_series(degrees, n):
+    """The closed-form answers of a complete intersection: relations of the
+    given degrees forming a regular sequence in n variables.
+
+    Returns ``(hilbert, dims)``: ``hilbert(D)`` lists the coefficients of
+    prod(1 - t^d) / (1 - t)^n through t^D, and ``dims`` maps each (i, j) to
+    dim H_{i,j} of the Koszul complex, the coefficient of s^i t^j in
+    prod(1 + s t^d): H is the exterior algebra on one class of bidegree
+    (1, d) per relation.
+    """
+    def hilbert(D):
+        coeffs = [comb(k + n - 1, n - 1) for k in range(D + 1)]   # 1 / (1 - t)^n
+        for d in degrees:
+            coeffs = [c - (coeffs[k - d] if k >= d else 0) for k, c in enumerate(coeffs)]
+        return coeffs
+
+    dims = {(0, 0): 1}
+    for d in degrees:
+        grown = dict(dims)
+        for (i, j), c in dims.items():
+            grown[(i + 1, j + d)] = grown.get((i + 1, j + d), 0) + c
+        dims = grown
+    return hilbert, dims

@@ -47,8 +47,9 @@ RING_CYCLE9 = {
 
 
 def write_ring(tmp_path, doc, name="ring.json"):
+    """Write a ring document, or the raw bytes of a ring file; return its path."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     return str(path)
 
 
@@ -426,6 +427,11 @@ MALFORMED_DOCUMENTS = [
      "unrecognized field spec", ": {'Fp': '7'}"),
     ({"field": {"Fp": True}, "variables": ["x"], "relations": ["x^2"]},
      "unrecognized field spec", ": {'Fp': True}"),
+    (b'{"field": "QQ", "variables": ["x\xff"], "relations": ["x^2"]}',
+     "ring file is not UTF-8",
+     ": 'utf-8' codec can't decode byte 0xff in position 32: invalid start byte"),
+    (b"[" * 100000 + b"]" * 100000,
+     "ring file nests JSON arrays or objects too deeply", ""),
 ]
 
 
@@ -507,9 +513,11 @@ _MALFORMED = ["x^", "x ^^ 2", "1/0*x^2", "x*$", "x^2 +", "x^2 y", "w^2", "2", ""
 
 @st.composite
 def ring_documents(draw):
-    """Ring documents in 0-3 variables.  A relation is a signed sum of terms
-    of one degree from 1 to 3 (half the time), of mixed degrees, or a
-    malformed token; coefficients are small integers and rationals."""
+    """The bytes of ring documents in 0-3 variables.  A relation is a signed
+    sum of terms of one degree from 1 to 3 (half the time), of mixed degrees,
+    or a malformed token; coefficients are small integers and rationals.  One
+    file in ten is not UTF-8 and one in ten nests the document 100000 deep
+    in JSON arrays."""
     names = _NAMES[:draw(st.integers(0, 3))]
     coefficient = st.sampled_from(["", "2*", "3*", "1/2*", "2/3*", "0*"])
 
@@ -521,9 +529,15 @@ def ring_documents(draw):
 
     relation = st.one_of(st.integers(1, 3).flatmap(lambda d: terms(d, d)),
                          st.one_of(terms(1, 3), st.sampled_from(_MALFORMED)))
-    return {"field": draw(st.sampled_from(["QQ", {"Fp": 2}, {"Fp": 3}, {"Fp": 4}])),
-            "variables": names,
-            "relations": draw(st.lists(relation, max_size=4))}
+    data = json.dumps({"field": draw(st.sampled_from(["QQ", {"Fp": 2}, {"Fp": 3}, {"Fp": 4}])),
+                       "variables": names,
+                       "relations": draw(st.lists(relation, max_size=4))}).encode()
+    damage = draw(st.sampled_from([None] * 8 + ["not utf-8", "nested"]))
+    if damage == "not utf-8":   # one more variable, its name a lone byte 0xff
+        data = data.replace(b'"variables": [', b'"variables": ["\xff", ', 1)
+    elif damage == "nested":
+        data = b"[" * 100000 + data + b"]" * 100000
+    return data
 
 
 _ON_EVERY_DOCUMENT = [
@@ -536,7 +550,7 @@ _ON_EVERY_DOCUMENT = [
 
 @settings(max_examples=400, deadline=None)
 @given(ring_documents())
-@example({"field": "QQ", "variables": ["x"], "relations": ["x^3"]})
+@example(json.dumps({"field": "QQ", "variables": ["x"], "relations": ["x^3"]}).encode())
 def test_generated_ring_documents_never_raise(doc):
     # bad input exits 2 with one error line; nothing escapes main
     with tempfile.TemporaryDirectory() as directory:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from koszul import QQ, Field, QuotientRing, parse_polynomial
 from koszul.betti import betti_table
 from koszul.families import build_cycle_ring, build_path_ring
+from koszul.fields import MODULAR
 from koszul.graded import ring_algebra_data
 from koszul.homology import (HomologyClass, _multidegree, differential,
                              differential_of_basis, homology, koszul_basis,
@@ -199,7 +200,7 @@ def test_dim_reads_an_existing_slice_without_ranking():
     assert (1, 2) not in H2._ranks.exact and (2, 2) not in H2._ranks.exact
 
 
-_P = 2**31 - 1   # the prime fractional QQ slices are first ranked modulo
+_P = MODULAR.p   # the prime of every modular rank over QQ
 
 
 def _count_ranks(monkeypatch):
