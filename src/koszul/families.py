@@ -20,8 +20,7 @@ from .fields import QQ, Field, InputError
 from .freealg import (Certification, FreeAlgebra, NCPresentation,
                       ReductionSystem, certify_groebner_by_dims)
 from .homology import KoszulHomologyAlgebra, differential, homology
-from .polyring import QuotientRing
-from .series import univariate_binomial, univariate_mul
+from .polyring import QuotientRing, ci_series
 from .sparse import (SparseMatrix, diagonalize_symmetric_form, kernel_of_columns,
                      rank_of_columns, solve_in_image, symplectic_basis)
 
@@ -216,9 +215,7 @@ def build_quadratic_ci(n: int, quadrics, field: Field = QQ, names=None):
     ring = QuotientRing(n, quadrics, field, names)
     c = len(ring.relations)
     depth_check = 2 * c + 2
-    expected = univariate_mul(
-        univariate_binomial(c, 1, depth_check),
-        _inverse_power_series(n - c, depth_check), depth_check)
+    expected = ci_series([2] * c, n, depth_check)
     actual = ring.hilbert_coeffs(depth_check)
     for d, (a, b) in enumerate(zip(actual, expected)):
         if a != b:
@@ -269,12 +266,6 @@ def build_quadratic_ci(n: int, quadrics, field: Field = QQ, names=None):
                            {"c": c, "j_max": 2 * c}, data,
                            ok=dims_ok and generation_ok)
     return ring, cert
-
-
-def _inverse_power_series(m: int, d_max: int) -> list:
-    """Coefficients of 1/(1-t)^m."""
-    return [comb(m - 1 + d, d) if m > 0 else (1 if d == 0 else 0)
-            for d in range(d_max + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,16 @@ NF(M) is phi(M) reduced by the echelon, memoized per monomial; and the
 reduced Groebner basis is M - NF(M) for the pivots M whose cofactors M/x_i
 are all standard.
 
+With m <= n relations, of degrees d_i, degree d stops at rank |W_d| - c_d,
+c_d the t^d coefficient of prod (1 - t^d_i) / (1 - t)^n (c_d = 0 if m > n: a
+full W_d).  Over the algebraic closure the coefficients where the degree-d
+Macaulay rank is largest form a nonempty open set, as do regular sequences
+(x_i^d_i is one), whose Hilbert function is c_d; the two meet, so every ring
+with these degrees has dim R_d >= c_d, and the rank, |W_d| - dim R_d as no
+monomial outside W_d is standard, is at most the bound.  There every other row
+is dependent: the span and the pivots, and so the standard monomials, normal
+forms and Groebner basis, are unchanged.
+
 Inside the ring a normal form is an int vector over one positive denominator
 (1 over GF(p)), so phi and the echelon never touch a Fraction; field elements
 are made only in ``normal_form``, ``mono_product`` and ``groebner``.
@@ -134,6 +144,17 @@ def groebner_basis(relations, field: Field, degree_bound=None):
         d = top
 
 
+def ci_series(degrees, n: int, top: int) -> list[int]:
+    """The coefficients of t^0, ..., t^top in prod (1 - t^d_i) / (1 - t)^n."""
+    coeffs = [1] + [0] * top
+    for d in degrees:
+        for k in range(top, d - 1, -1):
+            coeffs[k] -= coeffs[k - d]
+    for _ in range(n):
+        coeffs = list(itertools.accumulate(coeffs))
+    return coeffs
+
+
 class QuotientRing:
     """A standard graded quotient R = k[X1..Xn]/J with degreewise monomial bases.
 
@@ -175,6 +196,7 @@ class QuotientRing:
         self._nf: dict = {}  # monomial -> its normal form, see _nf_int
         self._products: dict = {}  # (monomial, monomial) -> normal form of the product
         self._twin = _UNBUILT  # the certified twin over MODULAR, or None
+        self._on_bound = len(self.relations) <= n  # each level so far met its bound
 
     @property
     def is_squarefree_monomial(self) -> bool:
@@ -201,22 +223,50 @@ class QuotientRing:
             levels.append((monos, index, ech))
             self._up.append([{s: index[_shift(s, j, 1)] for s in self.std_monomials(k - 1)}
                              for j in range(n)])
-            if not monos:  # no row can add a pivot
-                continue
-            rows = [self._into(g, k)[0] for g in self.relations if poly_degree(g) == k]
-            if k:
-                below, _, ech_below = levels[k - 1]
-                for _, col in ech_below.stored_columns():
-                    e = [(below[q], c) for q, c in col.items()]
-                    for j in range(n):
-                        rows.append(self._into({_shift(m, j, 1): c for m, c in e}, k)[0])
-            # by descending leading position, which keeps the reductions short;
-            # once every position is a pivot, the other rows reduce to zero
-            for row in sorted(filter(None, rows), key=min, reverse=True):
-                if ech.rank == len(monos):
-                    break
-                ech.insert(row)
+            # dim R_k >= c_k (module docstring): at rank |W_k| - c_k the rest is dependent
+            bound = len(monos) - (ci_series(map(poly_degree, self.relations), n, k)[k]
+                                  if len(self.relations) <= n else 0)
+            rows, lazy, run = self._rows(k), self._on_bound, 0
+            while ech.rank < bound and (row := next(rows, None)) is not None:
+                run = 0 if ech.insert(row)[0] else run + 1
+                if lazy and run > bound - ech.rank:
+                    # more dependent rows in a row than rank missing: likely
+                    # short of the bound, so reduce and go smallest lead first
+                    lazy, ech = False, self._reduce_level(k)
+                    rows = iter(sorted(rows, key=min, reverse=True))
+            if lazy and ech.rank < bound:
+                self._reduce_level(k)
+            self._on_bound &= ech.rank == bound
         return levels[d]
+
+    def _reduce_level(self, k: int):
+        """Degree k's echelon made reduced: its columns inserted again,
+        smallest lead first (see _rows)."""
+        monos, index, old = self._levels[k]
+        ech = FieldEchelon(self.field)
+        for _, col in sorted(old.stored_columns(), key=lambda t: t[0], reverse=True):
+            ech.insert(col)
+        self._levels[k] = (monos, index, ech)
+        return ech
+
+    def _rows(self, k: int):
+        """The nonzero phi(g), g a relation of degree k, and phi(x_j e), e stored
+        in degree k - 1.  On the bound they are built as needed: one x_j e per
+        lead x_j pivot(e) in W_k (exact: phi never raises a monomial), largest
+        first so that rows seldom meet pivots, then the rest.  Else all go
+        smallest lead first, which keeps the echelon reduced."""
+        below = self._levels[k - 1][0] if k else ()
+        shifts = [(below[pos], col, j) for pos, col in
+                  (self._levels[k - 1][2].stored_columns() if k else ()) for j in range(self.n)]
+        if self._on_bound:  # by the position of a fresh lead; the rest keep their order
+            fresh = dict(self._levels[k][1])
+            leads = [fresh.pop(_shift(m, j, 1), inf) for m, _, j in shifts]
+            shifts = [shift for _, shift in sorted(zip(leads, shifts), key=lambda t: t[0])]
+        rows = filter(None, itertools.chain(
+            (self._into(g, k)[0] for g in self.relations if poly_degree(g) == k),
+            (self._into({_shift(below[q], j, 1): c for q, c in col.items()}, k)[0]
+             for _, col, j in shifts)))
+        yield from rows if self._on_bound else sorted(rows, key=min, reverse=True)
 
     def _into(self, p: dict, d: int) -> tuple:
         """phi(p) for a polynomial p of degree d as ``(row, scale)``: its
@@ -333,12 +383,10 @@ class QuotientRing:
 
     def _certified_twin(self):
         relations, n, m = self.relations, self.n, len(self.relations)
-        # the Hilbert function of an Artinian complete intersection in m
-        # variables: prod (1 + t + ... + t^(d_i - 1)), up to degree sum(d_i - 1)
-        expected = [1]
-        for d in map(poly_degree, relations):
-            expected = [sum(expected[max(k - d + 1, 0):k + 1])
-                        for k in range(len(expected) + d - 1)]
+        # an Artinian complete intersection in m variables, which vanishes
+        # from degree sum(d_i - 1) + 1 on
+        degrees = list(map(poly_degree, relations))
+        expected = ci_series(degrees, m, sum(degrees) - m + 1)
         primitive = []
         for rel in relations:
             den = lcm(*(c.denominator for c in rel.values()))
@@ -351,7 +399,7 @@ class QuotientRing:
             {mono[:m]: c for mono, c in rel.items() if not any(mono[m:])}
             for rel in twin.relations], MODULAR)
         # stops at the first degree off the complete intersection's
-        certified = all(check.dim(k) == e for k, e in enumerate(expected + [0]))
+        certified = all(check.dim(k) == e for k, e in enumerate(expected))
         return twin if certified else None
 
     def dim(self, d: int) -> int:

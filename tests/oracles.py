@@ -15,6 +15,15 @@ def dense_rank_kernel(columns, nrows, p=0):
     """Rank and kernel of the matrix with the given sparse columns, by plain
     row reduction of the dense transpose with tracking; over GF(p) for p > 0
     (entries are then read as ints mod p), else over the rationals."""
+    leads, kernel = dense_leading_rows(columns, nrows, p)
+    return len(leads), kernel
+
+
+def dense_leading_rows(columns, nrows, p=0):
+    """The rows that lead some vector of the column span, and the kernel.
+    They are the first nonzero rows of the reduced independent columns, as a
+    combination of those is led by the least first row among its columns;
+    with rows in descending monomial order, the span's leading monomials."""
     if p:
         def scalar(v):
             return int(v) % p
@@ -36,7 +45,6 @@ def dense_rank_kernel(columns, nrows, p=0):
         track[j] = scalar(1)
         rows.append((dense, track))
     pivots = []
-    rank = 0
     kernel = []
     for dense, track in rows:
         for pcol, (pdense, ptrack) in pivots:
@@ -57,8 +65,7 @@ def dense_rank_kernel(columns, nrows, p=0):
             dense = [scalar(v * inv) for v in dense]
             track = [scalar(v * inv) for v in track]
             pivots.append((pivot, (dense, track)))
-            rank += 1
-    return rank, kernel
+    return [pivot for pivot, _ in pivots], kernel
 
 
 def dense_homology_dim(d_in_columns, d_out_columns, nrows_in, p=0):

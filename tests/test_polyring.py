@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from koszul import QQ, Field, QuotientRing, parse_polynomial, poly_to_string
@@ -12,7 +12,8 @@ from koszul.polyring import (ParseError, grevlex_key, groebner_basis,
                              poly_degree, poly_mul)
 
 from conftest import generic_quadrics_ring, in_field, make_63ne, ring_from_strings
-from oracles import dense_rank_kernel, macaulay_columns, monomials_of_degree
+from oracles import (complete_intersection_series, dense_leading_rows, dense_rank_kernel,
+                     macaulay_columns, monomials_of_degree)
 
 
 def poly_add(p, q, field=QQ):
@@ -364,6 +365,94 @@ def test_quotient_ring_matches_macaulay_oracle(ideal):
         assert dense_rank_kernel(multiples + differences, len(monos), p)[0] == rank
     basis, _ = groebner_basis(relations, ring.field, 6)
     assert all(in_field(g.values(), ring.field) for g in basis)
+
+
+def _complete_intersection_dims(relations, n, top):
+    """c_0, ..., c_top: prod(1 - t^d_i) / (1 - t)^n for the relation degrees."""
+    hilbert, _ = complete_intersection_series([poly_degree(g) for g in relations], n)
+    return hilbert(top)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals())
+def test_no_ring_is_smaller_than_a_complete_intersection(ideal):
+    """dim R_d >= c_d whenever m <= n, by the Macaulay oracle alone: the
+    theorem behind the rank bound at which each degree stops."""
+    p, n, relations = ideal
+    assume(len(relations) <= n)
+    c = _complete_intersection_dims(relations, n, 6)
+    for d in range(7):
+        monos, multiples = macaulay_columns(relations, n, d)
+        assert len(monos) - dense_rank_kernel(multiples, len(monos), p)[0] >= c[d]
+
+
+@st.composite
+def complete_intersections(draw):
+    """(p, n, relations): 1 to n dense forms of degree 2 or 3 with random
+    coefficients in n <= 4 variables, over QQ (p = 0) or GF(p).  Most are
+    regular sequences; over the small fields many are not."""
+    p = draw(st.sampled_from([0, 2, 3, 5, 7, 32003]))
+    n = draw(st.integers(1, 4))
+    coefficient = st.integers(0, p - 1) if p else st.integers(-5, 5)
+    relations = []
+    for _ in range(draw(st.integers(1, n))):
+        monos = monomials_of_degree(n, draw(st.integers(2, 3)))
+        relations.append({m: c for m in monos if (c := draw(coefficient))})
+    return p, n, [rel for rel in relations if rel]
+
+
+@settings(max_examples=100, deadline=None)
+@given(complete_intersections())
+def test_complete_intersections_match_the_macaulay_oracle(ci):
+    """Standard monomials, dims and normal forms through degree 5 equal the
+    dense oracle's, where most degrees stop at rank |W_d| - c_d."""
+    p, n, relations = ci
+    ring = QuotientRing(n, relations, Field(p))
+    c = _complete_intersection_dims(relations, n, 5)
+    stopped = False
+    for d in range(6):
+        monos, multiples = macaulay_columns(relations, n, d)
+        order = sorted(monos, key=grevlex_key, reverse=True)
+        row = {m: k for k, m in enumerate(order)}
+        columns = [{row[monos[i]]: v for i, v in col.items()} for col in multiples]
+        leads, _ = dense_leading_rows(columns, len(order), p)
+        standard = tuple(order[k] for k in reversed(range(len(order))) if k not in leads)
+        assert ring.std_monomials(d) == standard and ring.dim(d) == len(standard)
+        stopped |= 0 < c[d] == len(standard)
+        differences = []
+        for m in order:
+            nf = ring.normal_form({m: 1})
+            assert set(nf) <= set(standard)
+            differences.append(poly_add({row[m]: 1}, {row[s]: -v for s, v in nf.items()},
+                                        ring.field))
+        assert dense_rank_kernel(columns + differences, len(order), p)[0] == len(leads)
+    event(f"stop at the bound taken: {stopped}")
+
+
+def test_more_relations_than_variables_give_no_bound():
+    # with m > n, prod(1 - t^d_i) / (1 - t)^n is no lower bound: for these
+    # degrees (2, 3, 3, 3, 3) in 2 variables its t^7 coefficient is 6, and
+    # the cubics lie in (x^2 + y^2), so dim R_7 = 2
+    ring = ring_from_strings(["x", "y"], ["x^2 + y^2"] + ["x^3 + x*y^2"] * 4)
+    assert _complete_intersection_dims(ring.relations, 2, 9)[7] == 6
+    assert ring.hilbert_coeffs(9) == [1] + [2] * 9
+
+
+@pytest.mark.parametrize("field", [Field(32003), QQ], ids=["gf32003", "qq"])
+def test_levels_build_rows_lazily(monkeypatch, field):
+    """``hilbert_coeffs(7)`` on the seeded 5x5 quadrics maps 114 polynomials
+    through ``_into``: 72 rows and 42 normal forms.  Building every row of
+    each degree before inserting any mapped 365 (305 rows, 60 normal forms)."""
+    calls = []
+    real = QuotientRing._into
+
+    def counted(self, p, d):
+        calls.append(d)
+        return real(self, p, d)
+
+    monkeypatch.setattr(QuotientRing, "_into", counted)
+    assert generic_quadrics_ring(field).hilbert_coeffs(7) == [1, 5, 10, 10, 5, 1, 0, 0]
+    assert len(calls) <= 114
 
 
 def _quotient_answers(ring, top):
