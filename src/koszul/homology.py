@@ -171,7 +171,8 @@ class KoszulHomologyAlgebra:
         # squarefree monomial ideals: homology is concentrated in squarefree
         # multidegrees, so slices can be assembled per multidegree
         self.multigraded = ring.is_squarefree_monomial
-        self._complex_bases: dict = {}   # (i, grade, on the twin) -> basis
+        self._complex_bases: dict = {}
+        self._shifts: dict = {}   # (d, on the twin) -> see _shift_table
         # the rest keyed by (i, grade)
         self._ranks = ComplexRanks(self.field)
         self._slices: dict = {}
@@ -182,28 +183,74 @@ class KoszulHomologyAlgebra:
 
     # -- slice plumbing -----------------------------------------------------
 
-    def _complex_basis(self, i: int, grade, twin=False) -> tuple:
-        """A basis of K_i in one slice, over the ring or over its twin."""
-        key = (i, grade, twin)
+    def _complex_basis(self, i: int, grade) -> tuple:
+        """A basis of K_i in one slice."""
+        key = (i, grade)
         hit = self._complex_bases.get(key)
         if hit is None:
-            if self.multigraded:
-                hit = koszul_basis_multigraded(self.ring, i, grade)
-            else:
-                hit = koszul_basis(self.ring.twin(self.j_max) if twin else self.ring,
-                                   i, grade)
-            self._complex_bases[key] = hit
+            hit = self._complex_bases[key] = (
+                koszul_basis_multigraded(self.ring, i, grade) if self.multigraded
+                else koszul_basis(self.ring, i, grade))
+        return hit
+
+    def _shift_table(self, d: int, twin: bool) -> tuple:
+        """For each variable x_k, NF(x_k s) for each standard s of degree d,
+        as ``(row, coefficient)`` pairs with row the place of the monomial in
+        R_{d+1} counted from the end; once with the coefficients and once
+        negated.  Integral coefficients are plain ints.  Built once per
+        degree, over the ring or over its twin, and cached."""
+        key = (d, twin)
+        hit = self._shifts.get(key)
+        if hit is None:
+            ring = self.ring.twin(self.j_max) if twin else self.ring
+            n = ring.n
+            last = len(ring.std_monomials(d + 1)) - 1
+            row = {m: last - r for r, m in enumerate(ring.std_monomials(d + 1))}
+            units = [(0,) * k + (1,) + (0,) * (n - k - 1) for k in range(n)]
+            plus = [[[(row[m], c.numerator if c.denominator == 1 else c)
+                      for m, c in ring.mono_product(s, unit).items()]
+                     for s in ring.std_monomials(d)] for unit in units]
+            minus = [[[(r, -c) for r, c in terms] for terms in by_s] for by_s in plus]
+            hit = self._shifts[key] = (plus, minus)
         return hit
 
     def _columns(self, i: int, grade, twin=False) -> list[dict]:
         """Columns of the differential leaving K_i in one slice, over the
-        ring or over its twin; none where K_i or K_{i-1} is zero."""
-        here = self._complex_basis(i, grade, twin)
-        below = self._complex_basis(i - 1, grade, twin)
-        if not (here and below):
+        ring or over its twin, for ranks only: both bases are read in
+        reverse order, which ``rank_of_columns`` eliminates with least fill
+        (module docstring of ``koszul.sparse``).  None where K_i or K_{i-1}
+        is zero.
+
+        Bigraded, K_{i,j} comes in blocks by exterior word w, each the
+        standard monomials s of degree d = j - i; the column of (s, w) is
+        the sum over k in w of +-NF(x_k s) (``_shift_table``), placed in the
+        block of w minus k."""
+        if self.multigraded:
+            here = self._complex_basis(i, grade)
+            below = self._complex_basis(i - 1, grade)
+            if not (here and below):
+                return []
+            return _differential_columns(self.ring, here[::-1], below[::-1])
+        d = grade - i
+        ring = self.ring.twin(self.j_max) if twin else self.ring
+        size, size_below = len(ring.std_monomials(d)), len(ring.std_monomials(d + 1))
+        if not (0 < i <= ring.n and size and size_below):
             return []
-        return _differential_columns(self.ring.twin(self.j_max) if twin else self.ring,
-                                     here, below)
+        plus, minus = self._shift_table(d, twin)
+        words_below = list(itertools.combinations(range(ring.n), i - 1))
+        last = len(words_below) - 1
+        start = {w: (last - r) * size_below for r, w in enumerate(words_below)}
+        cols = []
+        for w in reversed(list(itertools.combinations(range(ring.n), i))):
+            blocks = [((minus if p % 2 else plus)[k], start[w[:p] + w[p + 1:]])
+                      for p, k in enumerate(w)]
+            for s in range(size - 1, -1, -1):
+                col = {}
+                for table, offset in blocks:
+                    for r, c in table[s]:
+                        col[offset + r] = c
+                cols.append(col)
+        return cols
 
     def _size(self, i: int, grade) -> int:
         """dim K_i in one slice, read from the Hilbert function where it can."""

@@ -3,8 +3,12 @@
 Vectors are dicts ``position -> coefficient`` with no stored zeros.  Every
 rank, kernel, membership and quotient-coordinate computation runs through one
 online echelon, ``IntEchelon``, parameterized by the modulus: columns are
-inserted one at a time, each stored column has its minimal position as pivot,
+inserted one at a time, each stored column has its least position as pivot,
 and reducing an incoming column is a single ascending pass over its support.
+An elimination that only counts, ``rank_of_columns``, is free to pick its
+order: it reads int positions negated, so each column is pivoted at its
+largest position, which on the complexes here makes far less fill.  Every
+elimination that tracks relations or coordinates keeps the natural order.
 The loop runs on plain ints: over the rationals on integer-scaled columns with
 gcd stripping, which keeps it in machine-int territory for the matrices that
 occur here (mostly +-1 entries), over GF(p) on residues.  ``FieldEchelon``
@@ -95,11 +99,13 @@ class IntEchelon:
     over GF(p).
 
     Columns come in as dicts of ints and Fractions and are scaled to ints as
-    they enter: by the lcm of their denominators, and over GF(p) to residues
-    in ``range(p)``.  A stored column is kept as its tail (the entries past
-    its pivot, its minimal position) and its pivot value: over QQ a primitive
-    integer vector with a positive pivot, over GF(p) residues with pivot 1.
-    Over GF(p) entries are reduced ``% p`` only when they are read.
+    they enter, by the lcm of their denominators.  A stored column is kept as
+    its tail (the entries past its pivot, its least position) and its pivot
+    value: over QQ a primitive integer vector with a positive pivot, over
+    GF(p) residues with pivot 1.  Over GF(p) entries are reduced ``% p`` only
+    when they are read, so an incoming int column is taken as it is.
+    ``rank_of_columns`` reads its columns with int positions negated, and so
+    pivots each at its largest position (see ``_RankEchelon``).
 
     A reduction keeps ``vec == sum(combo[t] * X_t)``, with ``combo`` seeded
     by the scale of the column itself.  With ``track``, the X_t are the
@@ -127,23 +133,12 @@ class IntEchelon:
 
     def _scaled(self, col: dict) -> tuple:
         """``col`` as an int vector, and the factor it was scaled by: the lcm
-        of its denominators, then over GF(p) residues.  Over GF(p) a rational
-        column is thus read as that integer multiple of itself."""
-        p = self.p
+        of its denominators.  Over GF(p) a rational column is thus read as
+        that integer multiple of itself."""
         for v in col.values():
             if type(v) is not int:
-                break
-        else:
-            return ({k: r for k, v in col.items() if (r := v % p)} if p
-                    else dict(col)), 1
-        denom = 1
-        for v in col.values():  # an int or a Fraction
-            if v.denominator != 1:
-                denom = lcm(denom, v.denominator)
-        vec = {k: v.numerator * (denom // v.denominator) for k, v in col.items() if v}
-        if p:
-            vec = {k: r for k, v in vec.items() if (r := v % p)}
-        return vec, denom
+                return _lcm_scaled(col)
+        return dict(col), 1
 
     def _reduce(self, vec: dict, combo: dict | None, full: bool):
         """Eliminate the stored pivots from ``vec`` in place, by ascending
@@ -309,14 +304,59 @@ class FieldEchelon(IntEchelon):
         return vec, combo[_COL]
 
 
-def rank_of_columns(columns, field: Field = QQ, bound: int | None = None) -> int:
+def _lcm_scaled(col: dict) -> tuple:
+    """``col`` times the lcm of its denominators, as an int vector, and that lcm."""
+    denom = 1
+    for v in col.values():  # an int or a Fraction
+        if v.denominator != 1:
+            denom = lcm(denom, v.denominator)
+    return {k: v.numerator * (denom // v.denominator) for k, v in col.items() if v}, denom
+
+
+class _RankEchelon(IntEchelon):
+    """The echelon of ``rank_of_columns``, which only counts: int positions
+    enter negated, so that each column is pivoted at its largest position.
+    A rank does not depend on the order.  On the Koszul and bar slices this
+    order makes far less fill than the least position; positions of other
+    types, such as class indices, keep their own order.  ``fractional``
+    records whether a column was scaled by more than 1."""
+
+    __slots__ = ("fractional",)
+
+    def __init__(self, p: int):
+        super().__init__(p)
+        self.fractional = False
+
+    def _scaled(self, col: dict) -> tuple:
+        # one pass: the int test and the negated positions; residues are
+        # taken as entries are read
+        vec = {}
+        try:
+            for k, v in col.items():
+                if type(v) is not int:
+                    vec, scale = _lcm_scaled(col)
+                    self.fractional |= scale != 1
+                    return {-k: v for k, v in vec.items()}, scale
+                vec[-k] = v
+        except TypeError:  # positions that cannot be negated
+            return super()._scaled(col)
+        return vec, 1
+
+
+def rank_of_columns(columns, field: Field = QQ, bound: int | None = None,
+                    integral: bool = False) -> int | None:
     """Rank of the matrix whose columns are the given sparse vectors; with
-    a ``bound`` at least that rank, the elimination stops once it reaches it."""
-    ech = IntEchelon(field.p)
+    a ``bound`` at least that rank, the elimination stops once it reaches it.
+    Each column is read once, and pivoted at its largest position
+    (``_RankEchelon``).  With ``integral``, the elimination gives up at the
+    first column with a non-integral entry and returns None."""
+    ech = _RankEchelon(field.p)
     for col in columns:
         if ech.rank == bound:
             break
         ech.insert(col)
+        if integral and ech.fractional:
+            return None
     return ech.rank
 
 
@@ -332,10 +372,12 @@ class ComplexRanks:
     only the cyclic garbage collector frees.
 
     One rule over QQ for every rank r that is only known mod P = MODULAR.p,
-    as r_P <= r.  Such are the ranks of a slice whose columns hold a
-    non-integral entry: ``IntEchelon`` reads a column mod P as its multiple
-    by the lcm of its denominators, which keeps its QQ rank, and the rank of
-    an integer matrix mod P never exceeds its QQ rank.  With ``qq_columns``,
+    as r_P <= r.  Such are the ranks of a slice whose elimination over QQ
+    meets a column with a non-integral entry before it reaches its bound
+    (``rank_of_columns`` with ``integral``, so the slice is read once where
+    it is integral): ``IntEchelon`` reads a column mod P as its multiple by
+    the lcm of its denominators, which keeps its QQ rank, and the rank of an
+    integer matrix mod P never exceeds its QQ rank.  With ``qq_columns``,
     such are all ranks: ``columns`` are then those of a certified twin over
     GF(P), the reduction of a complex over Z_(P) (see ``koszul.polyring``),
     and ``qq_columns(p, g)`` the same slice over QQ.  Every elimination stops
@@ -345,7 +387,7 @@ class ComplexRanks:
     bound tight, dim C_p = r_P(p) + r(p+1) or dim C_{p-1} = r(p-1) + r_P(p),
     with that rank exact or its own r_P; a tight bound settles both.
     Otherwise the slice is ranked over QQ.  Every other slice, over GF(p) or
-    with integral entries, is ranked directly.
+    settled by integral columns, is ranked directly.
     """
 
     __slots__ = ("field", "exact", "modular")
@@ -387,13 +429,14 @@ class ComplexRanks:
             top = min(size(p - 1, g) - exact.get((p - 1, g), 0),
                       size(p, g) - exact.get((p + 1, g), 0))
             cols = columns(p, g) if top else []
-            if qq_columns or not self.field.p and any(
-                    v.denominator != 1 for col in cols for v in col.values()):
+            hit = 0 if not cols else None if qq_columns else rank_of_columns(
+                cols, self.field, top, integral=not self.field.p)
+            if hit is None:  # on the twin, or a QQ slice with a non-integral entry
                 hit = self.modular[key] = rank_of_columns(cols, MODULAR, top)
                 if hit == top:
                     exact[key] = hit
             else:
-                hit = exact[key] = rank_of_columns(cols, self.field, top) if cols else 0
+                exact[key] = hit
         return hit
 
 

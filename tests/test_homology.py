@@ -206,18 +206,23 @@ _P = MODULAR.p   # the prime of every modular rank over QQ
 def _count_ranks(monkeypatch):
     """Count the ranks ``koszul.sparse`` takes, by kind: ``"mod P"`` over
     GF(_P), ``"fallback"`` over QQ on columns with a non-integral entry (a
-    modular rank that did not certify itself), ``"exact"`` any other."""
+    modular rank that did not certify itself), ``"exact"`` any other.  An
+    ``integral`` elimination over QQ that meets a non-integral entry gives
+    up and is not counted; one that reaches its bound first read only
+    integral columns, and is exact."""
     module = importlib.import_module("koszul.sparse")
     kinds = Counter()
     real = module.rank_of_columns
 
-    def counted(columns, field=QQ, bound=None):
+    def counted(columns, field=QQ, bound=None, integral=False):
+        rank = real(columns, field, bound, integral)
         if field.p == _P:
             kinds["mod P"] += 1
-        elif not field.p:
-            fractional = any(c.denominator != 1 for col in columns for c in col.values())
+        elif not field.p and rank is not None:
+            fractional = not integral and any(c.denominator != 1 for col in columns
+                                              for c in col.values())
             kinds["fallback" if fractional else "exact"] += 1
-        return real(columns, field, bound)
+        return rank
 
     monkeypatch.setattr(module, "rank_of_columns", counted)
     return kinds
@@ -247,8 +252,11 @@ def test_qq_rank_falls_back_where_a_denominator_vanishes_mod_p(monkeypatch):
     vanishing = {key for key in H._ranks.modular
                  if any(c.denominator % _P == 0
                         for col in H._columns(*key) for c in col.values())}
-    assert vanishing == {(1, 2), (2, 3)}   # x t_x maps to x^2 = -y^2/P, read as -y^2
+    assert vanishing == {(2, 3)}   # x t_x t_y maps to x^2 t_y = -y^2/P t_y, read as -y^2 t_y
     assert all(H._ranks.exact[key] == H._ranks.modular[key] for key in vanishing)
+    # at (1, 2), x t_x maps to x^2 = -y^2/P too, but the column of y t_y,
+    # read first, already reaches the bound dim R_2 = 1 over QQ
+    assert H._ranks.exact[(1, 2)] == 1 and (1, 2) not in H._ranks.modular
     assert not ranks["fallback"]
     # x z = -y z/P: a column holding -1/P and 1 is read as -1 and P = 0 mod P,
     # so the rank drops there and is taken over QQ

@@ -2,19 +2,24 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from koszul import QQ, Field
+from koszul import QQ, Field, QuotientRing
+from koszul import sparse
+from koszul.betti import BarEngine
+from koszul.fields import MODULAR
+from koszul.graded import ring_algebra_data
 from koszul.sparse import (FieldEchelon, SparseMatrix, diagonalize_symmetric_form,
                            kernel_of_columns, rank_kernel, rank_of_columns,
                            solve_in_image, symplectic_basis)
-from koszul.homology import koszul_basis, differential_of_basis
+from koszul.homology import homology, koszul_basis, differential_of_basis
 from koszul.families import build_path_ring
 
-from conftest import in_field
+from conftest import generic_quadrics_ring, in_field, ring_from_strings
 from oracles import dense_rank_kernel, mat_vec
 
 
@@ -189,18 +194,99 @@ def test_rank_nullity_matches_dense_oracle(data):
         assert all(v == 0 for v in combined.values())
 
 
-@settings(max_examples=100, deadline=None)
-@given(sparse_columns(), st.sampled_from([0, 2, 5]), st.integers(0, 3))
-def test_rank_stops_at_any_bound_at_or_above_the_rank(data, p, slack):
-    # the elimination stops once its rank reaches the bound, so a bound that
-    # is at least the rank changes nothing
-    nrows, cols = data
-    field = Field(p) if p else QQ
-    if p:
-        cols = _prime_columns(cols, p)
-    rank = dense_rank_kernel(cols, nrows, p)[0]
-    assert rank_of_columns(cols, field, rank + slack) == rank
+@st.composite
+def rank_problems(draw):
+    """Columns for ``rank_of_columns`` and the same matrix for the dense
+    oracle, over QQ, GF(2), GF(5) or GF(P): field elements, unreduced ints
+    (negative, or past p), or Fractions that GF(p) reads as their multiple
+    by the lcm of each column's denominators; at int positions, or at tuple
+    positions like the class indices that ``koszul.families`` ranks."""
+    nrows, cols = draw(sparse_columns())
+    p = draw(st.sampled_from([0, 2, 5, MODULAR.p]))
+    entries = draw(st.sampled_from(["field", "ints", "fractions"]))
+    if entries == "field":
+        cols = _prime_columns(cols, p) if p else cols
+        dense = cols
+    elif entries == "ints":
+        cols = [{r: v.numerator + p * (v.denominator - 2) for r, v in col.items()}
+                for col in cols]
+        dense = cols
+    else:  # as the complexes hand them over: ints where integral
+        dense = [{r: v * lcm(*(v.denominator for v in col.values())) for r, v in col.items()}
+                 for col in cols] if p else cols
+        cols = [{r: v.numerator if v.denominator == 1 else v for r, v in col.items()}
+                for col in cols]
+    if draw(st.booleans()):
+        cols = [{((r % 3,), r // 3): v for r, v in col.items()} for col in cols]
+    return Field(p), cols, dense_rank_kernel(dense, nrows, p)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_problems())
+# a column with a fraction and an int column share a row
+@example((QQ, [{1: Fraction(1, 2)}, {1: 1}], 1))
+def test_rank_of_columns_matches_the_dense_oracle_at_every_bound(problem):
+    # each column is pivoted at its largest position, and the elimination
+    # stops once its rank reaches the bound: a bound at or above the rank
+    # changes nothing, one below it is what comes back
+    field, cols, rank = problem
     assert rank_of_columns(cols, field) == rank
+    for bound in range(len(cols) + 2):
+        assert rank_of_columns(cols, field, bound) == min(rank, bound)
+        # an integral elimination may only give up on a fraction
+        integral = rank_of_columns(cols, field, bound, integral=True)
+        fractional = any(v.denominator != 1 for col in cols for v in col.values())
+        assert integral == min(rank, bound) or integral is None and fractional
+
+
+def _rank_work(monkeypatch, columns, field):
+    """``rank_of_columns`` of the columns, with its work: the reduction
+    steps (stored pivots met by an incoming column) and the nonzeros of the
+    stored columns."""
+    steps = 0
+    echelons = []
+
+    class Counting(dict):
+        def get(self, key, default=None):
+            nonlocal steps
+            hit = dict.get(self, key, default)
+            steps += hit is not None
+            return hit
+
+    real = sparse.IntEchelon.__init__
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        self.pivots = Counting()
+        echelons.append(self)
+
+    monkeypatch.setattr(sparse.IntEchelon, "__init__", init)
+    rank = rank_of_columns(columns, field)
+    monkeypatch.undo()
+    stored = sum(len(tail) + 1 for ech in echelons for tail, _, _ in ech.pivots.values())
+    return rank, steps, stored
+
+
+def test_rank_order_keeps_the_work_of_the_largest_slices_down(monkeypatch):
+    # pins the order of rank-only eliminations: each column pivoted at its
+    # largest position, and the Koszul complex handing over both bases in
+    # reverse.  Pivoting at the least position (and reading the Koszul bases
+    # in their own order) took 106995 steps and stored 8902 nonzeros on the
+    # bar slice, and 34240 steps and 32349 nonzeros on the Koszul slice; the
+    # Koszul bases in their own order with the largest pivot took 19639 steps.
+    field = Field(32003)
+    g4 = ring_from_strings(["x", "y", "z", "w"], [
+        "x^2 + 3*y*z - w^2", "y^2 - x*z + 2*x*w", "z^2 + 2*x*y - 3*y*w", "w^2 - x*y + z*w"],
+        field)
+    # the largest bar slice of g4's ring to weight 5: Tor_4 in degree 5
+    bar = BarEngine(ring_algebra_data(g4, 5)).differential_columns(4, (5,))
+    rank, steps, stored = _rank_work(monkeypatch, bar, field)
+    assert (len(bar), rank) == (1536, 568) and steps < 30000 and stored < 6000
+    # 5 generic quadrics in 6 variables: K_{3,6} -> K_{2,6}
+    qq6 = QuotientRing(6, generic_quadrics_ring(QQ, 6, 5).relations, field)
+    koszul = homology(qq6, 6, 6)._columns(3, 6)
+    rank, steps, stored = _rank_work(monkeypatch, koszul, field)
+    assert (len(koszul), rank) == (520, 305) and steps < 17000 and stored < 20000
 
 
 def _prime_columns(cols, p):
