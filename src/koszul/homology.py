@@ -5,10 +5,11 @@ with the differential sending the generator t_i to x_i and extending by the
 Leibniz rule.  Basis elements are pairs ``(v, w)``: a standard monomial v of R
 and an ascending tuple w of exterior indices.  Bidegrees are (|w|, deg v + |w|).
 
-For monomial ideals everything additionally splits by multidegree, and the
-homology is assembled from the (tiny) multidegree slices; nonzero homology
-only occurs in squarefree multidegrees, which the property suite cross-checks
-against the bigraded computation.
+For monomial ideals everything additionally splits by multidegree u, and
+each slice K_{.,u} is built from its exterior words alone (``_slice_words``).
+For squarefree u, the only multidegrees with homology, it is by Hochster's
+formula the cochain complex of an induced subcomplex of the Stanley-Reisner
+complex.
 
 Over QQ, a ring with a certified twin over GF(P) (``QuotientRing.twin``) has
 its homology dimensions ranked on the twin's complex: ``ComplexRanks``
@@ -47,17 +48,45 @@ def _multidegree(basis_elt) -> tuple:
 def koszul_basis_multigraded(ring: QuotientRing, i: int, u: tuple) -> tuple:
     """Basis of the multidegree-u slice in homological degree i (monomial
     rings): at most one v per w, so sorted as koszul_basis is."""
-    if i < 0 or i > ring.n or any(e < 0 for e in u):
-        return ()
-    support = [k for k, e in enumerate(u) if e]
-    if i > len(support):
-        return ()
+    words = _slice_words(ring, u) if min(u, default=0) >= 0 else []
+    return _word_pairs(words[i], u) if 0 <= i < len(words) else ()
+
+
+def _slice_words(ring: QuotientRing, u: tuple) -> list:
+    """The words of K_{i,u} for a monomial ring, by i: each w within supp u
+    with x^(u-w) standard, in combinations order, as the tuple of its
+    letters' bits 1 << k.  A minimal generator m dividing x^u divides
+    x^(u-w) iff w misses every k with m_k = u_k."""
+    support = [1 << k for k, e in enumerate(u) if e]
+    tight = [sum(1 << k for k, (a, e) in enumerate(zip(m, u)) if a == e)
+             for m in ring._lms if all(map(le, m, u))]
+    return [tuple(w for w in itertools.combinations(support, i)
+                  if all(map(sum(w).__and__, tight))) for i in range(len(support) + 1)]
+
+
+def _word_pairs(words, u: tuple) -> tuple:
+    """The ``(v, w)`` pairs of words of K_{i,u}: v = u - w."""
     out = []
-    for w in itertools.combinations(support, i):
-        v = tuple(e - (k in w) for k, e in enumerate(u))
-        if ring.is_standard(v):
-            out.append((v, w))
+    for w in words:
+        w = tuple(b.bit_length() - 1 for b in w)
+        v = list(u)
+        for k in w:
+            v[k] -= 1
+        out.append((tuple(v), w))
     return tuple(out)
+
+
+def _word_columns(words_from, words_to) -> list[dict]:
+    """Columns of d between two word bases of a slice u: d(x^(u-w) t_w) is
+    the sum of (-1)^p x^(u-w') t_w' over the words w' below that drop the
+    p-th letter of w, so entries are plain ints +-1."""
+    index_to = {sum(w): r for r, w in enumerate(words_to)}
+    cols = []
+    for w in words_from:
+        mask = sum(w)
+        cols.append({r: -1 if p & 1 else 1 for p, b in enumerate(w)
+                     if (r := index_to.get(mask ^ b)) is not None})
+    return cols
 
 
 def differential_of_basis(ring: QuotientRing, v: tuple, w: tuple) -> dict:
@@ -133,10 +162,17 @@ def _differential_columns(ring, basis_from, basis_to) -> list[dict]:
             for v, w in basis_from]
 
 
-def _slice_from_bases(ring, field, basis_here, basis_below, basis_above):
-    d_in = _differential_columns(ring, basis_here, basis_below)
-    bd = [col for col in _differential_columns(ring, basis_above, basis_here) if col]
-    return _Slice(field, basis_here, d_in, bd)
+def _slice_from_bases(ring, field, basis_here, basis_below, basis_above, u=None):
+    """One slice from the bases of K_i, K_{i-1} and K_{i+1}: pairs, or
+    with ``u`` words (``_slice_words``)."""
+    if u is None:
+        d_in = _differential_columns(ring, basis_here, basis_below)
+        bd = _differential_columns(ring, basis_above, basis_here)
+    else:
+        d_in = _word_columns(basis_here, basis_below)
+        bd = _word_columns(basis_above, basis_here)
+        basis_here = _word_pairs(basis_here, u)
+    return _Slice(field, basis_here, d_in, [col for col in bd if col])
 
 
 def _squarefree(u: tuple) -> bool:
@@ -168,10 +204,9 @@ class KoszulHomologyAlgebra:
         self.field = ring.field
         self.i_max = min(i_max, ring.n)
         self.j_max = j_max
-        # squarefree monomial ideals: homology is concentrated in squarefree
-        # multidegrees, so slices can be assembled per multidegree
         self.multigraded = ring.is_squarefree_monomial
         self._complex_bases: dict = {}
+        self._words: dict = {}   # u -> _slice_words(ring, u)
         self._shifts: dict = {}   # (d, on the twin) -> see _shift_table
         # the rest keyed by (i, grade)
         self._ranks = ComplexRanks(self.field)
@@ -184,13 +219,16 @@ class KoszulHomologyAlgebra:
     # -- slice plumbing -----------------------------------------------------
 
     def _complex_basis(self, i: int, grade) -> tuple:
-        """A basis of K_i in one slice."""
+        """A basis of K_i in one slice: its words on the multigraded route."""
+        if self.multigraded:
+            words = self._words.get(grade)
+            if words is None:
+                words = self._words[grade] = _slice_words(self.ring, grade)
+            return words[i] if 0 <= i < len(words) else ()
         key = (i, grade)
         hit = self._complex_bases.get(key)
         if hit is None:
-            hit = self._complex_bases[key] = (
-                koszul_basis_multigraded(self.ring, i, grade) if self.multigraded
-                else koszul_basis(self.ring, i, grade))
+            hit = self._complex_bases[key] = koszul_basis(self.ring, i, grade)
         return hit
 
     def _shift_table(self, d: int, twin: bool) -> tuple:
@@ -218,7 +256,7 @@ class KoszulHomologyAlgebra:
         """Columns of the differential leaving K_i in one slice, over the
         ring or over its twin, for ranks only: both bases are read in
         reverse order, which ``rank_of_columns`` eliminates with least fill
-        (module docstring of ``koszul.sparse``).  None where K_i or K_{i-1}
+        (module docstring of ``koszul.sparse``).  Empty where K_i or K_{i-1}
         is zero.
 
         Bigraded, K_{i,j} comes in blocks by exterior word w, each the
@@ -230,7 +268,7 @@ class KoszulHomologyAlgebra:
             below = self._complex_basis(i - 1, grade)
             if not (here and below):
                 return []
-            return _differential_columns(self.ring, here[::-1], below[::-1])
+            return _word_columns(here[::-1], below[::-1])
         d = grade - i
         ring = self.ring.twin(self.j_max) if twin else self.ring
         size, size_below = len(ring.std_monomials(d)), len(ring.std_monomials(d + 1))
@@ -264,7 +302,8 @@ class KoszulHomologyAlgebra:
         if hit is None:
             hit = self._slices[key] = _slice_from_bases(
                 self.ring, self.field, self._complex_basis(i, grade),
-                self._complex_basis(i - 1, grade), self._complex_basis(i + 1, grade))
+                self._complex_basis(i - 1, grade), self._complex_basis(i + 1, grade),
+                grade if self.multigraded else None)
         return hit
 
     def _slice_dim(self, i: int, grade) -> int:
@@ -492,28 +531,22 @@ def homology(ring: QuotientRing, i_max: int, j_max: int) -> KoszulHomologyAlgebr
 def multigraded_homology(ring: QuotientRing, u: tuple):
     """Dimensions (by homological degree) and bases of the multidegree-u slices.
 
-    Computed directly from the u-slice of the complex; requires a monomial
-    defining ideal.  Returns (dims, bases) with dims a dict i -> dim.
+    Requires a monomial defining ideal.  Returns (dims, bases) with dims a dict i -> dim.
     """
     if not ring.is_monomial:
         raise ValueError("multigraded homology needs a monomial defining ideal")
     u = tuple(u)
     if len(u) != ring.n or any(e < 0 for e in u):
         raise ValueError("multidegree length does not match the ring")
-    dims = {}
-    bases = {}
-    if not any(u):
-        return {0: 1}, {0: [{((0,) * ring.n, ()): ring.field.one}]}
-    top = min(ring.n, sum(u))
-    for i in range(0, top + 1):
-        basis_here = koszul_basis_multigraded(ring, i, u)
-        if not basis_here:
+    dims, bases = {}, {}
+    words = [()] + _slice_words(ring, u) + [()]   # K_{i,u} is words[i + 1]
+    for i in range(len(words) - 2):
+        below, here, above = words[i:i + 3]
+        if not here:
             continue
-        sl = _slice_from_bases(ring, ring.field, basis_here,
-                               koszul_basis_multigraded(ring, i - 1, u),
-                               koszul_basis_multigraded(ring, i + 1, u))
+        sl = _slice_from_bases(ring, ring.field, here, below, above, u)
         if sl.dim:
             dims[i] = sl.dim
-            bases[i] = [{basis_here[pos]: c for pos, c in sorted(rep.items())}
+            bases[i] = [{sl.basis[pos]: c for pos, c in sorted(rep.items())}
                         for rep in sl.reps]
     return dims, bases

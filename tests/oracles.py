@@ -77,6 +77,30 @@ def dense_homology_dim(d_in_columns, d_out_columns, nrows_in, p=0):
     return nullity - rank_out
 
 
+def hochster_dim(supports, u, i, p=0):
+    """dim Tor_i(R, k)_u of a squarefree monomial ring R, whose generators
+    have the given supports (sets of variables), at the squarefree
+    multidegree with support ``u``, by Hochster's formula: the reduced
+    simplicial homology H~_{|u|-i-1} of the induced subcomplex on ``u``,
+    whose faces are the subsets of ``u`` that contain no generator's
+    support.  Boundary maps are ranked by ``dense_rank_kernel``, over GF(p)
+    for p > 0."""
+    def faces(q):  # the faces of dimension q, i.e. of size q + 1
+        if q < -1:
+            return []
+        return [f for f in itertools.combinations(sorted(u), q + 1)
+                if not any(set(s) <= set(f) for s in supports)]
+
+    def rank(q):  # of the boundary from dimension q to q - 1
+        below = {f: r for r, f in enumerate(faces(q - 1))}
+        columns = [{below[f[:k] + f[k + 1:]]: (-1) ** k for k in range(len(f))}
+                   for f in faces(q)]
+        return dense_rank_kernel(columns, len(below), p)[0]
+
+    q = len(u) - i - 1
+    return len(faces(q)) - rank(q) - rank(q + 1)
+
+
 def monomials_of_degree(n, d):
     return [m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d]
 

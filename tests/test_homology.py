@@ -12,13 +12,14 @@ from koszul.betti import betti_table
 from koszul.families import build_cycle_ring, build_path_ring
 from koszul.fields import MODULAR
 from koszul.graded import ring_algebra_data
-from koszul.homology import (HomologyClass, _multidegree, differential,
+from koszul.homology import (HomologyClass, _differential_columns, _multidegree,
+                             _slice_words, _word_columns, _word_pairs, differential,
                              differential_of_basis, homology, koszul_basis,
                              koszul_basis_multigraded, multigraded_homology)
 from koszul.polyring import grevlex_key
 
 from conftest import generic_quadrics_ring, in_field, make_63ne, ring_from_strings
-from oracles import dense_homology_dim
+from oracles import dense_homology_dim, hochster_dim
 
 
 def test_koszul_basis_univariate():
@@ -501,6 +502,85 @@ def test_multigraded_homology_lives_on_the_lcm_lattice(data):
                     assert in_lattice, (u, i)
                     expected[(i, j)] = expected.get((i, j), 0) + dim
     assert H.dims() == expected
+
+
+@st.composite
+def squarefree_rings_over_qq_and_gf2(draw):
+    """A squarefree monomial ring in n <= 6 variables over QQ or GF(2), with
+    the supports of its generators (not all minimal)."""
+    n = draw(st.integers(2, 6))
+    field = draw(st.sampled_from([QQ, Field(2)]))
+    supports = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=2,
+                                           max_size=4), min_size=1, max_size=8))
+    ring = QuotientRing(n, [{tuple(int(k in s) for k in range(n)): 1}
+                            for s in supports], field)
+    return ring, supports
+
+
+@settings(max_examples=40, deadline=None)
+@given(squarefree_rings_over_qq_and_gf2())
+def test_multigraded_dims_match_hochster(data):
+    # Hochster: dim H_{i,u} = dim H~_{|u|-i-1} of the induced subcomplex on
+    # supp u; the oracle ranks simplicial boundaries, not Koszul columns
+    ring, supports = data
+    n = ring.n
+    H = homology(ring, n, n)
+    assert H.multigraded
+    for j in range(n + 1):
+        for support in itertools.combinations(range(n), j):
+            u = tuple(int(k in support) for k in range(n))
+            for i in range(n + 1):
+                assert H.multigraded_dim(i, u) == hochster_dim(
+                    supports, support, i, ring.field.p), (u, i)
+
+
+def test_squarefree_route_takes_no_normal_form(monkeypatch):
+    # dims, bases and multidegree slices come from exterior words alone;
+    # products (multiply_elements) keep mono_product and are left out
+    rings = [build_cycle_ring(8), build_path_ring(6)]
+
+    def refuse(*args):
+        raise AssertionError("a normal form on the squarefree route")
+
+    monkeypatch.setattr(QuotientRing, "mono_product", refuse)
+    monkeypatch.setattr(QuotientRing, "is_standard", refuse)
+    for ring in rings:
+        n = ring.n
+        H = homology(ring, n, n)
+        dims = H.dims()
+        assert dims[(0, 0)] == 1 and len(dims) > 4
+        for j in range(n + 1):
+            for i in range(j + 1):
+                assert len(H.basis(i, j)) == dims.get((i, j), 0)
+            for u in H.grades(j):
+                got, bases = multigraded_homology(ring, u)
+                assert got == {i: d for i in range(n + 1)
+                               if (d := H.multigraded_dim(i, u))}
+                assert {i: len(b) for i, b in bases.items()} == got
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_path_ring(4),
+    lambda: ring_from_strings(["a", "b", "c", "d"], ["a*b", "a*c", "b*c", "c*d"], Field(5)),
+    lambda: ring_from_strings(["x", "y", "z", "w"], ["x^2", "x*y^2", "y*z^3", "z^2*w"]),
+], ids=["path4", "triangle-tail-gf5", "non-squarefree"])
+def test_word_columns_equal_the_normal_form_columns(make):
+    ring = make()
+    F = ring.field
+    for u in itertools.product(range(4), repeat=ring.n):
+        support = [k for k, e in enumerate(u) if e]
+        words = _slice_words(ring, u)
+        pairs = [_word_pairs(w, u) for w in words]
+        for i, here in enumerate(pairs):
+            # the basis by the normal form: x^(u - w) standard
+            assert here == tuple(
+                (v, w) for w in itertools.combinations(support, i)
+                if ring.is_standard(v := tuple(e - (k in w) for k, e in enumerate(u))))
+            if i:
+                columns = _word_columns(words[i], words[i - 1])
+                assert all(type(c) is int for col in columns for c in col.values())
+                assert ([{r: F(c) for r, c in col.items()} for col in columns]
+                        == _differential_columns(ring, here, pairs[i - 1])), (u, i)
 
 
 def test_bigraded_slice_route_agrees_on_monomial_ring():

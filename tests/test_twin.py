@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import koszul.cli
 from koszul import QQ, QuotientRing, homology, poly_to_string
 from koszul.cli import main
+from koszul.families import build_cycle_ring, build_path_ring
 from koszul.fields import MODULAR
 
 from conftest import generic_quadrics_ring, make_63ne, ring_from_strings
@@ -95,6 +96,28 @@ def test_one_uncertified_slice_is_ranked_over_qq(monkeypatch):
     # K_{2,5} has ring degree 3 and maps into degree 4: QQ degrees 0..4 only
     assert len(ring._levels) == 5
     assert (ring.hilbert_coeffs(9), dims) == exact_answers(make_ci235, 9, 7)
+
+
+# name -> (QQ ring, j_max)
+ACROSS_FIELDS = {
+    "63ne": (make_63ne, 7),
+    "path6": (lambda: build_path_ring(6), 6),
+    "cycle6": (lambda: build_cycle_ring(6), 6),
+    "g4": (make_g4, 6),
+    "5x5-qq": (generic_quadrics_ring, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACROSS_FIELDS))
+def test_qq_and_gf_p_homology_dims_agree(name):
+    # the same relations read mod P: Koszul homology may depend on the
+    # characteristic, but on these rings it does not at P
+    make, j_max = ACROSS_FIELDS[name]
+    ring = make()
+    modular = QuotientRing(ring.n, ring.relations, MODULAR, ring.names)
+    assert modular.relations and len(modular.relations) == len(ring.relations)
+    assert (homology(ring, ring.n, j_max).dims()
+            == homology(modular, ring.n, j_max).dims())
 
 
 # name -> (ring, QuotientRing objects made over GF(P), degrees if a complete
